@@ -56,8 +56,10 @@ test-short:
 
 # The gate for every change: go vet, the cfplint analyzers, and the
 # full test suite under the race detector (cancellation plumbing is
-# concurrency-heavy).
+# concurrency-heavy). perfbench/ is a nested module that ./... skips;
+# vetting it keeps an API change from breaking the benchmark unseen.
 check: vet lint lint-fix-check
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./...
 
 # One benchmark per paper table/figure plus the ablations.

@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 
-	"cfpgrowth/internal/arena"
-	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/encoding"
 )
@@ -84,7 +82,9 @@ func (b *Builder) Add(tx []Item) error {
 // NumTx returns the number of transactions ingested so far.
 func (b *Builder) NumTx() uint64 { return b.counts.NumTx }
 
-// Finish builds the Index from everything added and releases the spool.
+// Finish builds the Index from everything added and releases the
+// spool. It takes the same build path as BuildIndex, replaying the
+// spool as the second scan; Context and MaxBytes bound it.
 func (b *Builder) Finish() (*Index, error) {
 	if b.done {
 		return nil, errors.New("cfpgrowth: Builder already finished")
@@ -94,57 +94,41 @@ func (b *Builder) Finish() (*Index, error) {
 	if err := b.bw.Flush(); err != nil {
 		return nil, err
 	}
-	var minSup uint64
-	switch {
-	case b.opts.MinSupport > 0 && b.opts.RelativeSupport > 0:
-		return nil, errors.New("cfpgrowth: set only one of MinSupport and RelativeSupport")
-	case b.opts.MinSupport > 0:
-		minSup = b.opts.MinSupport
-	case b.opts.RelativeSupport > 0:
-		minSup = dataset.AbsoluteSupport(b.opts.RelativeSupport, b.counts.NumTx)
-	default:
-		return nil, errors.New("cfpgrowth: minimum support not set")
+	_, ix, err := b.opts.build(spool{f: b.f, numTx: b.counts.NumTx}, &b.counts)
+	return ix, err
+}
+
+// spool replays a Builder's spool file as a Source.
+type spool struct {
+	f     *os.File
+	numTx uint64
+}
+
+// Scan implements Source.
+func (s spool) Scan(fn func(tx []Item) error) error {
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return err
 	}
-	rec := dataset.NewRecoder(b.counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   b.opts.Tree.MaxChainLen,
-		DisableChains: b.opts.Tree.DisableChains,
-		DisableEmbed:  b.opts.Tree.DisableEmbed,
-	}, names, sups)
-	if _, err := b.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(b.f, 1<<16)
+	br := bufio.NewReaderSize(s.f, 1<<16)
 	var tx []Item
-	var buf []uint32
-	for t := uint64(0); t < b.counts.NumTx; t++ {
+	for t := uint64(0); t < s.numTx; t++ {
 		l, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
+			return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
 		}
 		tx = tx[:0]
 		for i := uint64(0); i < l; i++ {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
+				return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
 			}
 			tx = append(tx, Item(v))
 		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
+		if err := fn(tx); err != nil {
+			return err
+		}
 	}
-	return &Index{
-		arr:         core.Convert(tree),
-		BaseSupport: minSup,
-		NumTx:       b.counts.NumTx,
-	}, nil
+	return nil
 }
 
 // Discard abandons the build and releases the spool.

@@ -155,3 +155,57 @@ func TestAnalyzeCompressionCanceled(t *testing.T) {
 		t.Errorf("AnalyzeCompression err = %v, want ErrCanceled", err)
 	}
 }
+
+func TestBuildIndexCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildIndex(exampleDB, Options{MinSupport: 1, Context: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Errorf("BuildIndex err = %v, want ErrCanceled", err)
+	}
+}
+
+func TestBuilderFinishCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	b, err := NewBuilder(Options{MinSupport: 1, Context: ctx}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range exampleDB {
+		if err := b.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if _, err := b.Finish(); !errors.Is(err, ErrCanceled) {
+		t.Errorf("Finish err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestIndexBuildMaxBytes: the index builders charge the CFP-tree and
+// CFP-array against MaxBytes like Mine does.
+func TestIndexBuildMaxBytes(t *testing.T) {
+	opts := Options{MinSupport: 1, MaxBytes: 1}
+	if _, err := BuildIndex(exampleDB, opts); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("BuildIndex err = %v, want ErrBudgetExceeded", err)
+	}
+	b, err := NewBuilder(opts, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range exampleDB {
+		if err := b.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("Finish err = %v, want ErrBudgetExceeded", err)
+	}
+	if _, err := AnalyzeCompression(exampleDB, opts); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("AnalyzeCompression err = %v, want ErrBudgetExceeded", err)
+	}
+	// A generous budget must not trip.
+	opts.MaxBytes = 1 << 30
+	if _, err := BuildIndex(exampleDB, opts); err != nil {
+		t.Errorf("1 GiB budget tripped: %v", err)
+	}
+}

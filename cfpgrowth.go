@@ -34,7 +34,6 @@ import (
 	"io"
 
 	"cfpgrowth/internal/algo"
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/fptree"
@@ -82,7 +81,9 @@ type Item = uint32
 type Transactions = dataset.Slice
 
 // Source is a transaction database that can be scanned multiple times.
-// Prefix-tree algorithms perform exactly two scans.
+// Building a prefix tree takes two scans: one counts the items, one
+// inserts the transactions. Mine and Count add a counting scan under
+// RelativeSupport (see Options.RelativeSupport).
 type Source = dataset.Source
 
 // File returns a Source streaming the FIMI-format file at path through
@@ -109,6 +110,15 @@ type TreeConfig struct {
 	DisableEmbed bool
 }
 
+// config maps the public tree options onto core.Config.
+func (c TreeConfig) config() core.Config {
+	return core.Config{
+		MaxChainLen:   c.MaxChainLen,
+		DisableChains: c.DisableChains,
+		DisableEmbed:  c.DisableEmbed,
+	}
+}
+
 // MemoryStats reports the modeled memory footprint observed during a
 // mining run (the paper's C-layout byte counts, not Go heap bytes).
 type MemoryStats struct {
@@ -123,7 +133,10 @@ type Options struct {
 	// must be set.
 	MinSupport uint64
 	// RelativeSupport is ξ as a fraction of the database size, e.g.
-	// 0.01 for 1%.
+	// 0.01 for 1%. The index builders (BuildIndex, Builder,
+	// AnalyzeCompression) take the size from their own first pass;
+	// Mine, Count and the functions built on them count it in one
+	// extra scan, because the miners take an absolute threshold.
 	RelativeSupport float64
 	// Algorithm selects the miner: "cfpgrowth" (default), "fpgrowth",
 	// "apriori", "eclat", "nonordfp", "fparray", "tiny", "afopt",
@@ -169,24 +182,61 @@ type Options struct {
 // Algorithms lists the available algorithm names.
 func Algorithms() []string { return algo.Names() }
 
-func (o Options) minSupport(src Source) (uint64, error) {
+// checkSupport validates the threshold options.
+func (o Options) checkSupport() error {
 	switch {
 	case o.MinSupport > 0 && o.RelativeSupport > 0:
-		return 0, errors.New("cfpgrowth: set only one of MinSupport and RelativeSupport")
+		return errors.New("cfpgrowth: set only one of MinSupport and RelativeSupport")
 	case o.MinSupport > 0:
-		return o.MinSupport, nil
-	case o.RelativeSupport > 0:
-		if o.RelativeSupport > 1 {
-			return 0, fmt.Errorf("cfpgrowth: RelativeSupport %v > 1", o.RelativeSupport)
-		}
-		c, err := dataset.CountItems(src)
-		if err != nil {
-			return 0, err
-		}
-		return dataset.AbsoluteSupport(o.RelativeSupport, c.NumTx), nil
-	default:
-		return 0, errors.New("cfpgrowth: minimum support not set")
+	case o.RelativeSupport > 1:
+		return fmt.Errorf("cfpgrowth: RelativeSupport %v > 1", o.RelativeSupport)
+	case !(o.RelativeSupport > 0):
+		return errors.New("cfpgrowth: minimum support not set")
 	}
+	return nil
+}
+
+// support is ξ as an absolute count for a database of numTx
+// transactions; the options must have passed checkSupport.
+func (o Options) support(numTx uint64) uint64 {
+	if o.MinSupport > 0 {
+		return o.MinSupport
+	}
+	return dataset.AbsoluteSupport(o.RelativeSupport, numTx)
+}
+
+// minSupport resolves ξ before a mining run: the miners take an
+// absolute threshold, so a RelativeSupport costs one counting scan.
+func (o Options) minSupport(src Source) (uint64, error) {
+	if err := o.checkSupport(); err != nil || o.MinSupport > 0 {
+		return o.MinSupport, err
+	}
+	c, err := dataset.CountItems(src)
+	return o.support(c.NumTx), err
+}
+
+// control arms the run's Control from Context and MaxBytes, or
+// returns nil when no option bounds the run. release stops the context
+// watcher; an already-done Context fails here, before any scan.
+func (o Options) control() (ctl *mine.Control, release func(), err error) {
+	if !o.controlled() {
+		return nil, func() {}, nil
+	}
+	if o.Context != nil {
+		if err := o.Context.Err(); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCanceled, err)
+		}
+	}
+	ctl = &mine.Control{MaxBytes: o.MaxBytes}
+	return ctl, ctl.Watch(o.Context), nil
+}
+
+// budget wraps track so MaxBytes is charged against ctl.
+func (o Options) budget(track mine.MemTracker, ctl *mine.Control) mine.MemTracker {
+	if o.MaxBytes > 0 {
+		return &mine.BudgetTracker{Inner: track, Ctl: ctl}
+	}
+	return track
 }
 
 func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
@@ -196,11 +246,7 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	}
 	switch name {
 	case "cfpgrowth":
-		cfg := core.Config{
-			MaxChainLen:   o.Tree.MaxChainLen,
-			DisableChains: o.Tree.DisableChains,
-			DisableEmbed:  o.Tree.DisableEmbed,
-		}
+		cfg := o.Tree.config()
 		if o.Parallel > 0 {
 			return core.ParallelGrowth{
 				Config:  cfg,
@@ -234,17 +280,12 @@ func (o Options) run(src Source, sink mine.Sink) error {
 	if err != nil {
 		return err
 	}
-	var ctl *mine.Control
-	if o.controlled() {
-		ctl = &mine.Control{MaxBytes: o.MaxBytes}
-		if o.Context != nil {
-			if err := o.Context.Err(); err != nil {
-				// Fail synchronously: nothing is scanned or emitted.
-				return fmt.Errorf("%w: %v", ErrCanceled, err)
-			}
-			release := ctl.Watch(o.Context)
-			defer release()
-		}
+	ctl, release, err := o.control()
+	if err != nil {
+		return err
+	}
+	defer release()
+	if ctl != nil {
 		// The ControlSink sits next to the caller's sink: it gates and
 		// counts exactly the itemsets the handler would receive, and a
 		// handler error stops every phase and worker of the run.
@@ -256,10 +297,7 @@ func (o Options) run(src Source, sink mine.Sink) error {
 		peak = &mine.PeakTracker{}
 		track = peak
 	}
-	if o.MaxBytes > 0 {
-		track = &mine.BudgetTracker{Inner: track, Ctl: ctl}
-	}
-	m, err := o.miner(track, ctl)
+	m, err := o.miner(o.budget(track, ctl), ctl)
 	if err != nil {
 		return err
 	}
@@ -343,62 +381,16 @@ type CompressionStats struct {
 
 // AnalyzeCompression builds the CFP-tree and CFP-array for src at the
 // given options and reports their sizes against the FP-tree baseline.
-// Options.Context and MaxBytes bound the analysis like they bound Mine.
+// It takes the index builders' path (see BuildIndex): two scans, with
+// Options.Context and MaxBytes bounding the analysis like they bound
+// Mine.
 func AnalyzeCompression(src Source, opts Options) (CompressionStats, error) {
-	minSup, err := opts.minSupport(src)
-	if err != nil {
-		return CompressionStats{}, err
-	}
-	var ctl *mine.Control
-	if opts.controlled() {
-		ctl = &mine.Control{MaxBytes: opts.MaxBytes}
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return CompressionStats{}, fmt.Errorf("%w: %v", ErrCanceled, err)
-			}
-			release := ctl.Watch(opts.Context)
-			defer release()
-		}
-	}
-	counts, err := dataset.CountItems(src)
-	if err != nil {
-		return CompressionStats{}, err
-	}
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   opts.Tree.MaxChainLen,
-		DisableChains: opts.Tree.DisableChains,
-		DisableEmbed:  opts.Tree.DisableEmbed,
-	}, names, sups)
-	var buf []uint32
-	var txn int
-	err = src.Scan(func(tx []uint32) error {
-		if err := ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		if txn++; txn&1023 == 0 {
-			ctl.Probe(tree.Extent())
-		}
-		return nil
-	})
+	tree, ix, err := opts.build(src, nil)
 	if err != nil {
 		return CompressionStats{}, err
 	}
 	ts := tree.Stats()
-	arr, err := core.ConvertCtl(tree, ctl)
-	if err != nil {
-		return CompressionStats{}, err
-	}
-	as := arr.Stats()
+	as := ix.arr.Stats()
 	return CompressionStats{
 		FPTreeNodes:     ts.Nodes,
 		FPTreeBytes:     int64(ts.Nodes) * 28,

@@ -31,43 +31,50 @@ type Index struct {
 }
 
 // BuildIndex scans src twice and builds the index at the given options'
-// support threshold (the base support).
+// support threshold (the base support). Options.Tree shapes the
+// CFP-tree; Context and MaxBytes bound the build like they bound Mine.
 func BuildIndex(src Source, opts Options) (*Index, error) {
-	minSup, err := opts.minSupport(src)
+	_, ix, err := opts.build(src, nil)
+	return ix, err
+}
+
+// build is the CFP build path BuildIndex, Builder.Finish and
+// AnalyzeCompression share: pass 1 over src (skipped when counts holds
+// src's first-pass counts), ξ resolved from its transaction count, the
+// CFP-tree built in a second scan and converted to the index's
+// CFP-array. Context and MaxBytes bound every phase; the returned tree
+// stays intact for inspection.
+func (o Options) build(src Source, counts *dataset.Counts) (*core.Tree, *Index, error) {
+	if err := o.checkSupport(); err != nil {
+		return nil, nil, err
+	}
+	ctl, release, err := o.control()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	counts, err := dataset.CountItems(src)
+	defer release()
+	if counts == nil {
+		c, err := dataset.CountItems(src)
+		if err != nil {
+			return nil, nil, err
+		}
+		counts = &c
+	}
+	minSup := o.support(counts.NumTx)
+	cfg := o.Tree.config()
+	tree, err := core.BuildTree(src, *counts, minSup, cfg, arena.New(), ctl, o.budget(nil, ctl), nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
+	if tree == nil {
+		// No item is frequent: the index is empty.
+		tree = core.NewTree(arena.New(), cfg, nil, nil)
 	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   opts.Tree.MaxChainLen,
-		DisableChains: opts.Tree.DisableChains,
-		DisableEmbed:  opts.Tree.DisableEmbed,
-	}, names, sups)
-	var buf []uint32
-	err = src.Scan(func(tx []Item) error {
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
+	arr, err := core.ConvertCtl(tree, ctl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Index{
-		arr:         core.Convert(tree),
-		BaseSupport: minSup,
-		NumTx:       counts.NumTx,
-	}, nil
+	return tree, &Index{arr: arr, BaseSupport: minSup, NumTx: counts.NumTx}, nil
 }
 
 // Bytes returns the index's in-memory footprint (triples + item index).

@@ -133,8 +133,8 @@ func TestIndexSupportOf(t *testing.T) {
 		{[]Item{1, 4}, 1},
 		{[]Item{3, 4}, 1},
 		{[]Item{1, 2, 3, 4}, 1},
-		{[]Item{99}, 0},      // unknown item
-		{[]Item{1, 1}, 0},    // duplicates: not a set
+		{[]Item{99}, 0},   // unknown item
+		{[]Item{1, 1}, 0}, // duplicates: not a set
 		{nil, 0},
 	}
 	for _, c := range cases {
@@ -159,5 +159,86 @@ func TestIndexSupportOfAfterReload(t *testing.T) {
 	}
 	if s := got.SupportOf([]Item{1, 2}); s != 3 {
 		t.Errorf("reloaded SupportOf(1,2) = %d, want 3", s)
+	}
+}
+
+// scanCounter is a Source that counts its scans.
+type scanCounter struct {
+	Source
+	scans int
+}
+
+func (s *scanCounter) Scan(fn func(tx []Item) error) error {
+	s.scans++
+	return s.Source.Scan(fn)
+}
+
+// TestIndexBuildScansTwice: the index builders resolve a relative
+// threshold from their own first pass, so both support forms cost
+// exactly the two scans of a prefix-tree build.
+func TestIndexBuildScansTwice(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"absolute": {MinSupport: 2},
+		"relative": {RelativeSupport: 0.3},
+	} {
+		src := &scanCounter{Source: exampleDB}
+		if _, err := BuildIndex(src, opts); err != nil {
+			t.Fatal(err)
+		}
+		if src.scans != 2 {
+			t.Errorf("%s BuildIndex: %d scans, want 2", name, src.scans)
+		}
+		src = &scanCounter{Source: exampleDB}
+		if _, err := AnalyzeCompression(src, opts); err != nil {
+			t.Fatal(err)
+		}
+		if src.scans != 2 {
+			t.Errorf("%s AnalyzeCompression: %d scans, want 2", name, src.scans)
+		}
+	}
+}
+
+// TestIndexBuildersAgree: BuildIndex, the Builder and
+// AnalyzeCompression build the same CFP-array from the same database.
+func TestIndexBuildersAgree(t *testing.T) {
+	db := randomDB(11, 600, 40)
+	for name, opts := range map[string]Options{
+		"absolute": {MinSupport: 6},
+		"relative": {RelativeSupport: 0.02, Tree: TreeConfig{MaxChainLen: 4, DisableEmbed: true}},
+	} {
+		ix, err := BuildIndex(db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBuilder(opts, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range db {
+			if err := b.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bix, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if _, err := ix.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bix.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Builder index (%d B serialized) differs from BuildIndex (%d B)", name, got.Len(), want.Len())
+		}
+		cs, err := AnalyzeCompression(db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.CFPArrayBytes != ix.Bytes() {
+			t.Errorf("%s: AnalyzeCompression CFPArrayBytes = %d, Index.Bytes() = %d", name, cs.CFPArrayBytes, ix.Bytes())
+		}
 	}
 }

@@ -60,19 +60,8 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if track == nil {
 		track = mine.NullTracker{}
 	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
-	tree := fptree.New(itemName, itemCount)
-	var buf []uint32
-	err = src.Scan(func(tx []uint32) error {
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
+	itemName := rec.Items()
+	tree, err := fptree.Build(src, rec, nil)
 	if err != nil {
 		return err
 	}

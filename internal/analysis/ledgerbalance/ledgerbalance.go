@@ -19,7 +19,10 @@
 //     reported at the charge. A token outstanding on ALL paths is a
 //     deliberate shape — a tracker wrapper or an acquire constructor —
 //     recorded in the caller-facing summary instead, so the obligation
-//     is checked where it actually lands.
+//     is checked where it actually lands. Call sites follow Go's result
+//     conventions (a failed or nil acquisition holds nothing), so a
+//     charge held at a return that may hand back a non-nil error or a
+//     nil result is reported even when the caller inherits it.
 //
 //   - Attribution: inside a function that starts obs spans, a positive
 //     charge (direct, or hidden in a callee whose summary says
@@ -32,6 +35,7 @@ package ledgerbalance
 
 import (
 	"go/ast"
+	"go/types"
 
 	"cfpgrowth/internal/analysis"
 	"cfpgrowth/internal/analysis/summary"
@@ -57,29 +61,29 @@ enforcement and per-phase bytes_delta reporting both stay truthful`,
 func run(pass *analysis.Pass) error {
 	lookup := summary.Lookuper(pass)
 	for _, fd := range pass.FuncDecls() {
-		for _, body := range scopes(fd.Body) {
-			check(pass, body, lookup)
+		var sig *types.Signature
+		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+			sig = fn.Type().(*types.Signature)
 		}
+		check(pass, sig, fd.Body, lookup)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if fl, ok := n.(*ast.FuncLit); ok && fl.Body != nil {
+				sig, _ := pass.TypesInfo.TypeOf(fl).(*types.Signature)
+				check(pass, sig, fl.Body, lookup)
+			}
+			return true
+		})
 	}
 	return nil
 }
 
-// scopes returns root plus the body of every nested function literal,
-// each analyzed independently.
-func scopes(root *ast.BlockStmt) []*ast.BlockStmt {
-	out := []*ast.BlockStmt{root}
-	ast.Inspect(root, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != nil {
-			out = append(out, fl.Body)
-		}
-		return true
-	})
-	return out
-}
-
-func check(pass *analysis.Pass, body *ast.BlockStmt, lookup summary.Lookup) {
-	li := summary.AnalyzeLedger(pass.TypesInfo, body, lookup)
+func check(pass *analysis.Pass, sig *types.Signature, body *ast.BlockStmt, lookup summary.Lookup) {
+	li := summary.AnalyzeLedger(pass.TypesInfo, sig, body, lookup)
 	for _, l := range li.Leaks {
+		if l.Failed && (l.AllPaths || l.Returned) {
+			pass.Reportf(l.Tok.Pos, "ledger charge is still held at a return that hands back a non-nil error or a nil result, where callers take it as never made; release it before that return")
+			continue
+		}
 		if l.AllPaths || l.Returned {
 			// Wrapper/acquire shape: the obligation moves to the caller
 			// through the ChargesNet summary and is checked there.

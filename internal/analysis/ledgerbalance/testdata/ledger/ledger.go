@@ -135,3 +135,121 @@ func deferredHelper(t mine.MemTracker, ok bool) error {
 	}
 	return nil
 }
+
+// --- Go's result conventions at acquiring call sites ---
+
+// acquireOrFail charges only when it succeeds: a failed acquisition
+// returns an error and holds nothing.
+func acquireOrFail(t mine.MemTracker, ok bool) (*big, error) {
+	if !ok {
+		return nil, errBoom
+	}
+	b := acquireBuf(t)
+	return b, nil
+}
+
+// Returning the acquisition's own error releases nothing, and a nil
+// result holds no charge either.
+func errConvention(t mine.MemTracker, ok bool) error {
+	b, err := acquireOrFail(t, ok)
+	if err != nil || b == nil {
+		return err
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+// Any other early return after a successful acquisition still leaks.
+func leakAfterAcquired(t mine.MemTracker, ok, skip bool) error {
+	b, err := acquireOrFail(t, ok) // want `ledger charge acquired by acquireOrFail\(t, ok\) is not released on every return path`
+	if err != nil {
+		return err
+	}
+	if skip {
+		return errBoom
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+// Only the error assigned with the charge proves it was never taken.
+func leakOnOtherErr(t mine.MemTracker, ok bool, other error) error {
+	b, err := acquireOrFail(t, ok) // want `ledger charge acquired by acquireOrFail\(t, ok\) is not released on every return path`
+	if other != nil {
+		return err
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+// Assigning err again ends its tie to the acquisition: a later
+// non-nil err says nothing about the charge, so that return leaks.
+func leakAfterErrReused(t mine.MemTracker, ok bool, other func() error) error {
+	b, err := acquireOrFail(t, ok) // want `ledger charge acquired by acquireOrFail\(t, ok\) is not released on every return path`
+	if err != nil {
+		return err
+	}
+	err = other()
+	if err != nil {
+		return err
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+func pick(a, b *big) *big {
+	if b != nil {
+		return b
+	}
+	return a
+}
+
+// Likewise for the result: once b holds another value, b == nil no
+// longer proves the acquisition empty.
+func leakAfterResultReused(t mine.MemTracker, ok bool, spare *big) error {
+	b, err := acquireOrFail(t, ok) // want `ledger charge acquired by acquireOrFail\(t, ok\) is not released on every return path`
+	if err != nil {
+		return err
+	}
+	b = pick(b, spare)
+	if b == nil {
+		return nil
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+// Passing an acquisition's results straight through leaves the
+// convention to the acquiring callee, which is checked itself.
+func passThrough(t mine.MemTracker, ok bool) (*big, error) {
+	return acquireOrFail(t, ok)
+}
+
+// The acquiring side must keep the convention its callers rely on: a
+// charge still held when failure is reported is dropped by every
+// caller.
+func chargeThenFail(t mine.MemTracker, ok bool) (*big, error) {
+	b := acquireBuf(t) // want `ledger charge is still held at a return that hands back a non-nil error or a nil result`
+	if !ok {
+		return nil, errBoom
+	}
+	return b, nil
+}
+
+func chargeThenNil(t mine.MemTracker, ok bool) *big {
+	b := acquireBuf(t) // want `ledger charge is still held at a return that hands back a non-nil error or a nil result`
+	if !ok {
+		return nil
+	}
+	return b
+}
+
+// A direct charge is held to it too.
+func allocThenFail(t mine.MemTracker, ok bool) (*big, error) {
+	b := &big{}
+	t.Alloc(64) // want `ledger charge is still held at a return that hands back a non-nil error or a nil result`
+	if !ok {
+		return b, errBoom
+	}
+	return b, nil
+}

@@ -30,6 +30,12 @@ import (
 // callers can enforce the PR-6 attribution rule: inside a function
 // that starts spans, a positive charge must execute while a span is
 // open, or the charged bytes vanish from every phase's bytes_delta.
+//
+// Acquiring calls follow Go's result conventions: the token of
+// `x, err := acquire()` is dropped where err is non-nil or x is nil,
+// until either is assigned again. The acquiring side must keep the
+// convention: a token held at a return that may report failure is
+// marked Failed.
 
 const (
 	minePath = "cfpgrowth/internal/mine"
@@ -51,6 +57,12 @@ type Token struct {
 	// FromCallee marks a token pushed by a ChargesNet callee summary
 	// rather than a direct charge.
 	FromCallee bool
+	// Results marks a callee-acquired token whose Objs are the call's
+	// assigned results, so a nil result holds no charge.
+	Results bool
+	// Err is the error result assigned alongside a callee-acquired
+	// token; on a branch where it is non-nil the token is dropped.
+	Err types.Object
 }
 
 // A Leak is a token still outstanding at scope exit on some path.
@@ -64,6 +76,9 @@ type Leak struct {
 	// Returned reports whether a variable tied to the token is returned
 	// on some path: ownership moves to the caller.
 	Returned bool
+	// Failed reports whether the token is held at some return that
+	// reports failure, where callers take the charge as never made.
+	Failed bool
 }
 
 // A Bare is one positive charge executed while no obs span was open,
@@ -110,6 +125,7 @@ type ledgerState struct {
 
 type ledgerProblem struct {
 	info      *types.Info
+	results   *types.Tuple // the scope's results; nil when unknown
 	lookup    Lookup
 	spanUsing bool
 	// bares accumulates uncovered charges as a side effect of Transfer;
@@ -117,6 +133,9 @@ type ledgerProblem struct {
 	bares map[token.Pos]*Bare
 	// unmatched accumulates frees that popped nothing.
 	unmatched map[token.Pos]bool
+	// failed accumulates tokens held at a return that may report
+	// failure; may-sets only grow across visits, so no site is lost.
+	failed map[token.Pos]bool
 	// markCharges records an uncovered positive charge (→ Charges).
 	markCharges bool
 }
@@ -165,6 +184,9 @@ func (p *ledgerProblem) Clone(s ledgerState) ledgerState {
 func (p *ledgerProblem) Join(a, b ledgerState) ledgerState {
 	j := p.Clone(a)
 	for k, v := range b.may {
+		if w, ok := j.may[k]; ok {
+			v = meet(w, v)
+		}
 		j.may[k] = v
 	}
 	for k := range j.must {
@@ -199,8 +221,9 @@ func (p *ledgerProblem) Equal(a, b ledgerState) bool {
 		len(a.defObjs) != len(b.defObjs) || len(a.defKeys) != len(b.defKeys) {
 		return false
 	}
-	for k := range a.may {
-		if _, ok := b.may[k]; !ok {
+	for k, v := range a.may {
+		w, ok := b.may[k]
+		if !ok || v.Err != w.Err || v.Results != w.Results {
 			return false
 		}
 	}
@@ -232,16 +255,101 @@ func (p *ledgerProblem) Equal(a, b ledgerState) bool {
 	return true
 }
 
-func (p *ledgerProblem) Refine(s ledgerState, cond ast.Expr, taken bool) ledgerState { return s }
+// meet merges one token's ties from two joining paths: a tie survives
+// only where both paths keep it.
+func meet(a, b *Token) *Token {
+	t := *a
+	if a.Err != b.Err {
+		t.Err = nil
+	}
+	t.Results = a.Results && b.Results
+	return &t
+}
+
+// untie ends the ties of tokens to a variable being assigned again:
+// a later nil test of obj says nothing about the acquisition. Tokens
+// are shared between states, so a changed one is copied.
+func untie(s ledgerState, obj types.Object) {
+	for pos, tok := range s.may {
+		if tok.Err == obj || (tok.Results && tok.Objs[obj]) {
+			t := *tok
+			if t.Err == obj {
+				t.Err = nil
+			}
+			t.Results = t.Results && !t.Objs[obj]
+			s.may[pos] = &t
+		}
+	}
+}
+
+// Refine drops the callee-acquired tokens that a nil test (`x != nil`,
+// `x == nil`) proves were never acquired: the error assigned with the
+// token is non-nil, or the result the token is tied to is nil.
+func (p *ledgerProblem) Refine(s ledgerState, cond ast.Expr, taken bool) ledgerState {
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) || !p.isNil(be.Y) {
+		return s
+	}
+	obj := identObj(p.info, be.X)
+	if obj == nil {
+		return s
+	}
+	isNil := (be.Op == token.EQL) == taken
+	for pos, tok := range s.may {
+		if (!isNil && tok.Err == obj) || (isNil && tok.Results && tok.Objs[obj]) {
+			delete(s.may, pos)
+			delete(s.must, pos)
+		}
+	}
+	return s
+}
+
+// errorType is the predeclared error interface.
+var errorType = types.Universe.Lookup("error").Type()
+
+// reportsFailure reports whether ret may hand back a non-nil error or
+// a nil result, where callers drop a token (see Refine). Only the
+// literal nil is a nil error; a bare or pass-through return fails when
+// the scope has an error result.
+func (p *ledgerProblem) reportsFailure(ret *ast.ReturnStmt) bool {
+	rs := p.results
+	for i := 0; rs != nil && i < rs.Len(); i++ {
+		isErr := types.Identical(rs.At(i).Type(), errorType)
+		if len(ret.Results) != rs.Len() {
+			if isErr {
+				return true
+			}
+		} else if isErr != p.isNil(ret.Results[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// isNil reports whether e is the predeclared nil.
+func (p *ledgerProblem) isNil(e ast.Expr) bool {
+	tv, ok := p.info.Types[e]
+	return ok && tv.IsNil()
+}
 
 // Transfer mutates and returns s (the solver hands it a private copy).
 func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
+		// The old values' ties end before the right-hand sides bind
+		// their own tokens to the same variables.
+		for _, lhs := range n.Lhs {
+			if obj := identObj(p.info, lhs); obj != nil {
+				untie(s, obj)
+			}
+		}
 		for i, rhs := range n.Rhs {
-			var lhs ast.Expr
-			if len(n.Lhs) == len(n.Rhs) {
-				lhs = n.Lhs[i]
+			var lhs []ast.Expr
+			switch {
+			case len(n.Lhs) == len(n.Rhs):
+				lhs = n.Lhs[i : i+1]
+			case len(n.Rhs) == 1:
+				lhs = n.Lhs // tuple assignment: x, err := f()
 			}
 			p.expr(s, rhs, lhs)
 		}
@@ -274,6 +382,15 @@ func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
 				}
 			}
 		}
+		if p.reportsFailure(n) {
+			for pos := range s.may {
+				// A token acquired by a call in the return itself is
+				// the callee's failure to check, not this scope's.
+				if pos < n.Pos() || pos >= n.End() {
+					p.failed[pos] = true
+				}
+			}
+		}
 	default:
 		p.walk(s, n)
 	}
@@ -292,7 +409,7 @@ func (p *ledgerProblem) walk(s ledgerState, n ast.Node) {
 }
 
 // expr applies one RHS expression, binding acquired tokens to lhs.
-func (p *ledgerProblem) expr(s ledgerState, rhs ast.Expr, lhs ast.Expr) {
+func (p *ledgerProblem) expr(s ledgerState, rhs ast.Expr, lhs []ast.Expr) {
 	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 		p.call(s, call, lhs)
 		return
@@ -301,9 +418,9 @@ func (p *ledgerProblem) expr(s ledgerState, rhs ast.Expr, lhs ast.Expr) {
 }
 
 // call applies one call site: span open/close, direct charges and
-// frees, then callee-summary effects. lhs, when non-nil, is the
-// expression the call's (single) result is assigned to.
-func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs ast.Expr) {
+// frees, then callee-summary effects. lhs, when non-nil, holds the
+// expressions the call's results are assigned to.
+func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs []ast.Expr) {
 	// Nested calls in arguments evaluate first.
 	for _, a := range call.Args {
 		p.walk(s, a)
@@ -318,8 +435,10 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs ast.Expr) {
 		return
 	}
 	if isRecorderStart(fn) {
-		if obj := identObj(info, lhs); obj != nil {
-			s.spans[obj] = true
+		if len(lhs) == 1 {
+			if obj := identObj(info, lhs[0]); obj != nil {
+				s.spans[obj] = true
+			}
 		}
 		return
 	}
@@ -353,10 +472,19 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs ast.Expr) {
 		p.charge(s, call.Pos(), fn)
 	}
 	if eff.ChargesNet {
-		objs := map[types.Object]bool{}
-		if obj := identObj(info, lhs); obj != nil {
-			objs[obj] = true
-		} else {
+		tok := &Token{Pos: call.Pos(), Key: types.ExprString(call), Objs: map[types.Object]bool{}, FromCallee: true}
+		for _, e := range lhs {
+			obj := identObj(info, e)
+			switch {
+			case obj == nil:
+			case types.Identical(obj.Type(), errorType):
+				tok.Err = obj
+			default:
+				tok.Objs[obj] = true
+				tok.Results = true
+			}
+		}
+		if objs := tok.Objs; !tok.Results {
 			for _, a := range call.Args {
 				for _, o := range varsIn(info, a) {
 					objs[o] = true
@@ -368,7 +496,6 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs ast.Expr) {
 				}
 			}
 		}
-		tok := &Token{Pos: call.Pos(), Key: types.ExprString(call), Objs: objs, FromCallee: true}
 		s.may[tok.Pos] = tok
 		s.must[tok.Pos] = true
 	}
@@ -496,9 +623,10 @@ func (p *ledgerProblem) deferCall(s ledgerState, call *ast.CallExpr) {
 }
 
 // AnalyzeLedger solves the ledger analysis of one scope. body is a
-// function (or literal) body; lookup resolves callee summaries and may
-// be nil early in a bottom-up pass.
-func AnalyzeLedger(info *types.Info, body *ast.BlockStmt, lookup Lookup) *ScopeInfo {
+// function (or literal) body and sig its signature (nil when unknown);
+// lookup resolves callee summaries and may be nil early in a bottom-up
+// pass.
+func AnalyzeLedger(info *types.Info, sig *types.Signature, body *ast.BlockStmt, lookup Lookup) *ScopeInfo {
 	if lookup == nil {
 		lookup = func(*types.Func) *Effects { return nil }
 	}
@@ -508,6 +636,10 @@ func AnalyzeLedger(info *types.Info, body *ast.BlockStmt, lookup Lookup) *ScopeI
 		spanUsing: usesSpans(info, body),
 		bares:     map[token.Pos]*Bare{},
 		unmatched: map[token.Pos]bool{},
+		failed:    map[token.Pos]bool{},
+	}
+	if sig != nil {
+		prob.results = sig.Results()
 	}
 	g := cfg.New(body)
 	res := dataflow.Forward[ledgerState](g, prob)
@@ -534,6 +666,7 @@ func AnalyzeLedger(info *types.Info, body *ast.BlockStmt, lookup Lookup) *ScopeI
 			Tok:      *tok,
 			AllPaths: exit.must[pos],
 			Returned: exit.returned[pos],
+			Failed:   prob.failed[pos],
 		})
 	}
 	return out

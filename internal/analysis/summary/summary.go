@@ -215,7 +215,11 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 		}
 	}
 
-	li := AnalyzeLedger(info, n.Decl.Body, lookup)
+	var sig *types.Signature
+	if fn, ok := info.Defs[n.Decl.Name].(*types.Func); ok {
+		sig = fn.Type().(*types.Signature)
+	}
+	li := AnalyzeLedger(info, sig, n.Decl.Body, lookup)
 	eff.Charges = li.Charges
 	eff.Releases = li.Releases
 	for _, l := range li.Leaks {

@@ -3,9 +3,76 @@ package core
 import (
 	"math"
 
+	"cfpgrowth/internal/arena"
+	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/encoding"
+	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/obs"
 )
+
+// BuildTree is the CFP build's second pass (§2.1, §3): it ranks the
+// items of src's first-pass counts at minSup and inserts every
+// transaction of src, recoded, into a new CFP-tree on arena a. When no
+// item is frequent it returns a nil tree without scanning src.
+//
+// The scan polls ctl once per transaction and probes the growing
+// tree's extent against ctl's byte budget every 1024 transactions.
+// rec receives the pass2-build span and the finished tree's node
+// counters; inside that span track is charged the tree's extent, a
+// charge the caller releases. ctl, track and rec may each be nil.
+func BuildTree(src dataset.Source, counts dataset.Counts, minSup uint64, cfg Config, a *arena.Arena, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
+	rc := dataset.NewRecoder(counts, minSup)
+	n := rc.NumFrequent()
+	if debugChecks {
+		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	tree := NewTree(a, cfg, rc.Items(), rc.Supports())
+	tree.Observe(rec)
+	var buf []uint32
+	var txn int
+	sp := rec.Start(obs.PhaseBuild)
+	err := src.Scan(func(tx []uint32) error {
+		if err := ctl.Err(); err != nil {
+			return err
+		}
+		buf = rc.Encode(tx, buf[:0])
+		tree.Insert(buf, 1)
+		// Probe the growing tree against the byte budget so a runaway
+		// build is stopped long before its one-shot charge below.
+		if txn++; txn&1023 == 0 {
+			ctl.Probe(tree.Extent())
+		}
+		return nil
+	})
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	foldTreeCounters(rec, tree)
+	// Charged inside the span: pass2-build's bytes_delta is the
+	// initial CFP-tree footprint.
+	if track != nil {
+		track.Alloc(tree.Extent())
+	}
+	sp.End()
+	return tree, nil
+}
+
+// foldTreeCounters folds a finished tree's composition into the run
+// counters before it is converted and recycled; four atomic adds.
+func foldTreeCounters(rec *obs.Recorder, t *Tree) {
+	if rec == nil {
+		return
+	}
+	std, chains, embedded := t.PhysNodes()
+	rec.Add(obs.CtrStdNodes, int64(std))
+	rec.Add(obs.CtrChainNodes, int64(chains))
+	rec.Add(obs.CtrEmbeddedLeaves, int64(embedded))
+	rec.Add(obs.CtrLogicalNodes, int64(t.NumNodes()))
+}
 
 // Insert adds a transaction given as strictly increasing item ranks
 // with multiplicity weight. Per the CFP-tree's partial-count semantics

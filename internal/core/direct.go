@@ -38,42 +38,18 @@ func (g DirectGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink
 	if err != nil {
 		return err
 	}
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	rec := dataset.NewRecoder(counts, minSupport)
-	n := rec.NumFrequent()
-	if n == 0 {
-		return nil
-	}
-	if debugChecks {
-		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
-	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
 	track := g.Track
 	if track == nil {
 		track = mine.NullTracker{}
 	}
-	m := &directGrower{cfg: g.Config, minSup: minSupport, maxLen: g.MaxLen, sink: sink, track: track, ctl: g.Ctl}
-	tree := NewTree(arena.New(), g.Config, itemName, itemCount)
-	var buf []uint32
-	err = src.Scan(func(tx []uint32) error {
-		if err := g.Ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
-	if err != nil {
+	tree, err := BuildTree(src, counts, minSupport, g.Config, arena.New(), g.Ctl, track, nil)
+	if err != nil || tree == nil {
 		return err
 	}
-	return m.mine(tree, nil)
+	m := &directGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, track: track, ctl: g.Ctl}
+	err = m.mine(tree, nil)
+	track.Free(tree.Extent())
+	return err
 }
 
 type directGrower struct {
@@ -98,9 +74,9 @@ func (m *directGrower) emit(prefix []uint32, support uint64) error {
 	return m.sink.Emit(m.emitBuf, support)
 }
 
+// mine mines t, which its caller keeps charged to the ledger for the
+// whole call.
 func (m *directGrower) mine(t *Tree, prefix []uint32) error {
-	m.track.Alloc(t.Extent())
-	defer m.track.Free(t.Extent())
 	if path, ok := t.SinglePath(); ok {
 		return m.minePath(t, path, prefix)
 	}
@@ -128,7 +104,10 @@ func (m *directGrower) mine(t *Tree, prefix []uint32) error {
 			// rk requires another full walk of the tree.
 			cond := m.conditional(t, uint32(rk), cp.counts)
 			if cond != nil {
-				if err := m.mine(cond, prefix); err != nil {
+				m.track.Alloc(cond.Extent())
+				err := m.mine(cond, prefix)
+				m.track.Free(cond.Extent())
+				if err != nil {
 					return err
 				}
 			}

@@ -48,39 +48,9 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
 	}
 	track := observedTracker(g.Track, g.Rec)
-	sp := g.Rec.Start(obs.PhasePass1)
-	counts, err := dataset.CountItems(src)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	// The count table is the pass's output structure; charging it
-	// inside the span makes pass1's bytes_delta its footprint.
-	countBytes := counts.ModelBytes()
-	track.Alloc(countBytes)
-	sp.End()
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	rec := dataset.NewRecoder(counts, minSupport)
-	n := rec.NumFrequent()
-	// The count table is consumed by the recoder; it is dead from here.
-	track.Free(countBytes)
-	if n == 0 {
-		return nil
-	}
-	if debugChecks {
-		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
-	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
 	m := &cfpGrower{
 		cfg:       g.Config,
-		minSup:    minSupport,
+		minSup:    max(minSupport, 1),
 		maxLen:    g.MaxLen,
 		sink:      sink,
 		track:     track,
@@ -88,48 +58,50 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		rec:       g.Rec,
 		treeArena: arena.New(),
 	}
-	tree := NewTree(m.treeArena, g.Config, itemName, itemCount)
-	tree.Observe(g.Rec)
-	var buf []uint32
-	var txn int
-	sp = g.Rec.Start(obs.PhaseBuild)
-	err = src.Scan(func(tx []uint32) error {
-		if err := g.Ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		// The tree grows throughout the build; probe its extent against
-		// the byte budget periodically so a runaway build is stopped
-		// long before its one-shot Alloc at phase end.
-		if txn++; txn&1023 == 0 {
-			g.Ctl.Probe(tree.Extent())
-		}
-		return nil
-	})
-	if err != nil {
-		sp.End()
+	tree, err := buildRoot(src, minSupport, g.Config, m.treeArena, g.Ctl, track, g.Rec)
+	if err != nil || tree == nil {
 		return err
 	}
-	foldTreeCounters(g.Rec, tree)
-	// Charge the finished tree inside the span: pass2-build's
-	// bytes_delta is the initial CFP-tree footprint.
-	m.track.Alloc(tree.Extent())
-	sp.End()
 	return m.mineRoot(tree)
 }
 
-// foldTreeCounters folds a finished tree's composition into the run
-// counters before it is converted and recycled; four atomic adds.
-func foldTreeCounters(rec *obs.Recorder, t *Tree) {
-	if rec == nil {
-		return
+// buildRoot is the prologue Growth and ParallelGrowth share: pass 1,
+// whose count table is charged inside the pass1 span and retired once
+// the items are ranked, then BuildTree, whose tree stays charged for
+// the caller to release (nil when no item is frequent).
+func buildRoot(src dataset.Source, minSup uint64, cfg Config, a *arena.Arena, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
+	sp := rec.Start(obs.PhasePass1)
+	counts, err := dataset.CountItems(src)
+	if err != nil {
+		sp.End()
+		return nil, err
 	}
-	std, chains, embedded := t.PhysNodes()
-	rec.Add(obs.CtrStdNodes, int64(std))
-	rec.Add(obs.CtrChainNodes, int64(chains))
-	rec.Add(obs.CtrEmbeddedLeaves, int64(embedded))
-	rec.Add(obs.CtrLogicalNodes, int64(t.NumNodes()))
+	// The count table is the pass's output structure; charging it
+	// inside the span makes pass1's bytes_delta its footprint.
+	countBytes := counts.ModelBytes()
+	track.Alloc(countBytes)
+	sp.End()
+	// The recoder consumes the count table; it is dead from here.
+	track.Free(countBytes)
+	return BuildTree(src, counts, minSup, cfg, a, ctl, track, rec)
+}
+
+// convertRoot converts the initial tree inside the convert span: the
+// tree's arena is recycled and its ledger charge moves to the array,
+// which stays charged for the caller to release.
+func convertRoot(t *Tree, a *arena.Arena, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Array, error) {
+	treeBytes := t.Extent()
+	sp := rec.Start(obs.PhaseConvert)
+	arr, err := ConvertCtl(t, ctl)
+	a.Reset()
+	track.Free(treeBytes)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	track.Alloc(arr.Bytes())
+	sp.End()
+	return arr, nil
 }
 
 // observedTracker composes a miner's caller-supplied tracker with its
@@ -303,8 +275,8 @@ func (m *cfpGrower) emit(prefix []uint32, support uint64) error {
 // whose phase owns the transition, so per-phase byte deltas reflect
 // the structures the phase materializes and retires.
 func (m *cfpGrower) mineRoot(t *Tree) error {
-	treeBytes := t.Extent()
 	if path, ok := t.SinglePath(); ok {
+		treeBytes := t.Extent()
 		sp := m.rec.Start(obs.PhaseMine)
 		m.treeArena.Reset()
 		m.track.Free(treeBytes)
@@ -312,17 +284,11 @@ func (m *cfpGrower) mineRoot(t *Tree) error {
 		sp.End()
 		return err
 	}
-	sp := m.rec.Start(obs.PhaseConvert)
-	arr, err := ConvertCtl(t, m.ctl)
-	m.treeArena.Reset()
-	m.track.Free(treeBytes)
+	arr, err := convertRoot(t, m.treeArena, m.ctl, m.track, m.rec)
 	if err != nil {
-		sp.End()
 		return err
 	}
-	m.track.Alloc(arr.Bytes())
-	sp.End()
-	sp = m.rec.Start(obs.PhaseMine)
+	sp := m.rec.Start(obs.PhaseMine)
 	err = m.mineArray(arr, nil)
 	m.track.Free(arr.Bytes())
 	sp.End()

@@ -15,8 +15,10 @@ import (
 type Item = uint32
 
 // Source is a transaction database that can be scanned multiple times.
-// FP-growth-style algorithms perform exactly two scans: one to count
-// item supports and one to build the prefix tree.
+// Building a prefix tree takes two scans: one to count item supports
+// and one to insert the transactions. Callers may add scans of their
+// own, e.g. to learn the database size before a relative threshold
+// can be resolved.
 type Source interface {
 	// Scan invokes fn once per transaction, in database order. The
 	// slice passed to fn is only valid for the duration of the call.
@@ -136,6 +138,14 @@ func (r *Recoder) Support(rank uint32) uint64 { return r.support[rank] }
 
 // Decode maps a rank back to the original item identifier.
 func (r *Recoder) Decode(rank uint32) Item { return r.orig[rank] }
+
+// Items returns the rank → original identifier table. It is shared,
+// not copied: callers must not write to it.
+func (r *Recoder) Items() []Item { return r.orig[:len(r.orig):len(r.orig)] }
+
+// Supports returns the rank → support table. It is shared, not
+// copied: callers must not write to it.
+func (r *Recoder) Supports() []uint64 { return r.support }
 
 // DecodeSet maps a rank itemset back to original identifiers, sorted
 // ascending.

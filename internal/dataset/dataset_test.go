@@ -47,6 +47,12 @@ func TestRecoderRanksByDescendingSupport(t *testing.T) {
 	if r.Support(0) != 4 || r.Support(2) != 2 {
 		t.Errorf("supports = %d,%d, want 4,2", r.Support(0), r.Support(2))
 	}
+	if items := r.Items(); !reflect.DeepEqual(items, []Item{10, 20, 30}) || cap(items) != len(items) {
+		t.Errorf("Items = %v (cap %d), want [10 20 30] capped at its length", items, cap(items))
+	}
+	if sups := r.Supports(); !reflect.DeepEqual(sups, []uint64{4, 3, 2}) {
+		t.Errorf("Supports = %v, want [4 3 2]", sups)
+	}
 }
 
 func TestRecoderTieBreakDeterministic(t *testing.T) {

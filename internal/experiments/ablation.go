@@ -15,11 +15,11 @@ import (
 // AblationRow is one CFP-tree configuration measured on the
 // chain-friendly webdocs-like workload (DESIGN.md §5).
 type AblationRow struct {
-	Name        string
-	Nodes       int
-	Bytes       int64
-	AvgNodeSize float64
-	BuildTime   time.Duration
+	Name                                 string
+	Nodes                                int
+	Bytes                                int64
+	AvgNodeSize                          float64
+	BuildTime                            time.Duration
 	StdNodes, ChainNodes, EmbeddedLeaves int
 }
 
@@ -33,14 +33,6 @@ func (c Config) Ablation() ([]AblationRow, error) {
 		return nil, err
 	}
 	minSup := dataset.AbsoluteSupport(0.10, counts.NumTx)
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
 	cfgs := []struct {
 		name string
 		cfg  core.Config
@@ -56,26 +48,15 @@ func (c Config) Ablation() ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, cc := range cfgs {
 		a.Reset()
-		tree := core.NewTree(a, cc.cfg, names, sups)
 		t0 := time.Now()
-		var buf []uint32
-		err := db.Scan(func(tx []uint32) error {
-			buf = rec.Encode(tx, buf[:0])
-			tree.Insert(buf, 1)
-			return nil
-		})
+		tree, err := core.BuildTree(db, counts, minSup, cc.cfg, a, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(t0)
-		row := AblationRow{
-			Name:      cc.name,
-			Nodes:     tree.NumNodes(),
-			Bytes:     tree.Bytes(),
-			BuildTime: elapsed,
-		}
-		row.StdNodes, row.ChainNodes, row.EmbeddedLeaves = tree.PhysNodes()
-		if row.Nodes > 0 {
+		row := AblationRow{Name: cc.name, BuildTime: time.Since(t0)}
+		if tree != nil { // nil: no item is frequent
+			row.Nodes, row.Bytes = tree.NumNodes(), tree.Bytes()
+			row.StdNodes, row.ChainNodes, row.EmbeddedLeaves = tree.PhysNodes()
 			row.AvgNodeSize = float64(row.Bytes) / float64(row.Nodes)
 		}
 		rows = append(rows, row)

@@ -63,25 +63,11 @@ func (c Config) Fig6() ([]Fig6Row, error) {
 			if minSup < 2 {
 				minSup = 2
 			}
-			rec := dataset.NewRecoder(counts, minSup)
-			n := rec.NumFrequent()
-			names := make([]uint32, n)
-			sups := make([]uint64, n)
-			for i := 0; i < n; i++ {
-				names[i] = rec.Decode(uint32(i))
-				sups[i] = rec.Support(uint32(i))
-			}
-			tree := core.NewTree(arena.New(), core.Config{}, names, sups)
-			var buf []uint32
-			err = db.Scan(func(tx []uint32) error {
-				buf = rec.Encode(tx, buf[:0])
-				tree.Insert(buf, 1)
-				return nil
-			})
+			tree, err := core.BuildTree(db, counts, minSup, core.Config{}, arena.New(), nil, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			if tree.NumNodes() == 0 {
+			if tree == nil {
 				continue
 			}
 			ts := tree.Stats()

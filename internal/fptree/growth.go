@@ -30,6 +30,23 @@ type Growth struct {
 // Name implements mine.Miner.
 func (Growth) Name() string { return "fpgrowth" }
 
+// Build is the FP-tree's second pass: it inserts every transaction of
+// src, recoded by rec, into a new tree over rec's frequent items,
+// polling ctl (nil: never stopped) once per transaction.
+func Build(src dataset.Source, rec *dataset.Recoder, ctl *mine.Control) (*Tree, error) {
+	tree := New(rec.Items(), rec.Supports())
+	var buf []uint32
+	err := src.Scan(func(tx []uint32) error {
+		if err := ctl.Err(); err != nil {
+			return err
+		}
+		buf = rec.Encode(tx, buf[:0])
+		tree.Insert(buf, 1)
+		return nil
+	})
+	return tree, err
+}
+
 // Mine implements mine.Miner.
 func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error {
 	if err := g.Ctl.Err(); err != nil {
@@ -49,23 +66,8 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	if n == 0 {
 		return nil
 	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
-	tree := New(itemName, itemCount)
-	var buf []uint32
 	sp = g.Rec.Start(obs.PhaseBuild)
-	err = src.Scan(func(tx []uint32) error {
-		if err := g.Ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
+	tree, err := Build(src, rec, g.Ctl)
 	sp.End()
 	if err != nil {
 		return err

@@ -137,12 +137,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 
 	// Mining pass: per shard, build a CFP-tree over the global rank
 	// space, convert, and mine only the group's ranks.
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
+	itemName, itemCount := rec.Items(), rec.Supports()
 	// The caller's tracker needs a mutex under concurrent workers; the
 	// recorder's gauges are atomic and are teed in unsynchronized.
 	var track mine.MemTracker = mine.NullTracker{}

@@ -34,11 +34,7 @@ type UpdatableIndex struct {
 
 // NewUpdatableIndex returns an empty updatable index.
 func NewUpdatableIndex(tree TreeConfig) *UpdatableIndex {
-	cfg := core.Config{
-		MaxChainLen:   tree.MaxChainLen,
-		DisableChains: tree.DisableChains,
-		DisableEmbed:  tree.DisableEmbed,
-	}
+	cfg := tree.config()
 	u := &UpdatableIndex{
 		cfg:   cfg,
 		arena: arena.New(),
