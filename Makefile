@@ -15,11 +15,11 @@ vet:
 # Project-specific analyzers (internal/analysis, driven by cmd/cfplint):
 # ptr40safe, ledgerbalance, goroutinesafe, poolreturn, sharedro,
 # sinkguard, obsguard, lockorder, errsentinel, varintbounds,
-# atomicfield, allochot, the numeric layer intwidth, loopprogress,
-# boundscertain, and the heap layer frozenro, arenaescape, aliasburden
-# — preceded by reporting-free summary, rangefacts, and pointsto
-# phases that publish per-function Effects, result-range, and
-# points-to/lifetime-region facts in package dependency order.
+# atomicfield, allochot, the numeric layer intwidth, loopprogress, and
+# the heap layer frozenro, arenaescape, aliasburden — preceded by
+# reporting-free summary, rangefacts, and pointsto phases that publish
+# per-function Effects, result-range, and points-to/lifetime-region
+# facts (with the parameter write masks) in package dependency order.
 # Suppress a finding with
 # `//cfplint:ignore <analyzer> <reason>` on or above the line.
 lint:

@@ -8,19 +8,18 @@
 // sharded workers (sharedro), span hygiene (obsguard), sentinel-error
 // hygiene (errsentinel), atomic-field discipline (atomicfield),
 // lock-order discipline (lockorder), hot-path allocation discipline
-// (allochot), the numeric layer: packed-width proofs (intwidth),
-// loop-progress proofs (loopprogress), and in-range certification of
-// index/slice expressions (boundscertain, reporting-free — it
-// publishes the Certified fact varintbounds consumes to drop taint
-// findings the interval engine has proven safe), and the heap layer:
+// (allochot), the numeric layer: packed-width proofs (intwidth) and
+// loop-progress proofs (loopprogress), and the heap layer:
 // serving-artifact immutability (frozenro), arena/pool release safety
 // (arenaescape), and hot-path noalias discipline (aliasburden). Three
 // reporting-free phases feed the rest: summary publishes the
 // per-function Effects facts the interprocedural analyzers consume,
-// rangefacts (pulled in as a requirement of the numeric analyzers)
-// publishes per-function result ranges, and pointsto publishes the
-// points-to/lifetime-region facts the heap-layer analyzers and the
-// rewired poolreturn consume.
+// rangefacts (pulled in as a requirement of the numeric analyzers and
+// of varintbounds, which drops taint findings the interval engine
+// proves in range) publishes per-function result ranges, and pointsto
+// publishes the points-to/lifetime-region facts and the write-through
+// parameter masks the heap-layer analyzers, sharedro and the rewired
+// poolreturn consume.
 //
 // Usage:
 //
@@ -75,14 +74,13 @@ import (
 	"cfpgrowth/internal/analysis/allochot"
 	"cfpgrowth/internal/analysis/arenaescape"
 	"cfpgrowth/internal/analysis/atomicfield"
-	"cfpgrowth/internal/analysis/boundscertain"
 	"cfpgrowth/internal/analysis/errsentinel"
 	"cfpgrowth/internal/analysis/frozenro"
-	"cfpgrowth/internal/analysis/intwidth"
-	"cfpgrowth/internal/analysis/loopprogress"
 	"cfpgrowth/internal/analysis/goroutinesafe"
+	"cfpgrowth/internal/analysis/intwidth"
 	"cfpgrowth/internal/analysis/ledgerbalance"
 	"cfpgrowth/internal/analysis/lockorder"
+	"cfpgrowth/internal/analysis/loopprogress"
 	"cfpgrowth/internal/analysis/obsguard"
 	"cfpgrowth/internal/analysis/pointsto"
 	"cfpgrowth/internal/analysis/poolreturn"
@@ -176,10 +174,6 @@ var suite = []scoped{
 		"cfpgrowth/internal/core",
 	)},
 	{errsentinel.Analyzer, everywhere},
-	// boundscertain runs wherever varintbounds does (it is also in its
-	// Requires); the explicit entry keeps it in -list and the timing
-	// report even if the consumer is ever rescoped.
-	{boundscertain.Analyzer, everywhere},
 	{varintbounds.Analyzer, everywhere},
 	{atomicfield.Analyzer, everywhere},
 	{allochot.Analyzer, everywhere},
@@ -206,7 +200,7 @@ var suite = []scoped{
 	// solves the per-package points-to constraints, tags allocation
 	// sites with lifetime regions (arena/pool/frozen/ring), and
 	// publishes the Points/Escapes facts frozenro, arenaescape,
-	// aliasburden, and the rewired poolreturn consume. It runs
+	// aliasburden, sharedro, and the rewired poolreturn consume. It runs
 	// everywhere outside the analysis framework itself (same
 	// self-analysis exclusion as loopprogress): the consumers below are
 	// scoped tighter, but the facts of every dependency — arena

@@ -26,8 +26,20 @@ type Index struct {
 	BaseSupport uint64
 	// NumTx is the number of transactions in the source database.
 	NumTx uint64
-	// rankOf lazily maps external items to ranks for point queries.
+	// rankOf maps external items to ranks for point queries. It is
+	// filled once, when the index is created, so concurrent SupportOf
+	// calls only read it.
 	rankOf map[Item]uint32
+}
+
+// newIndex wraps a finished CFP-array as an Index, building the
+// item → rank map SupportOf reads.
+func newIndex(arr *core.Array, baseSupport, numTx uint64) *Index {
+	rankOf := make(map[Item]uint32, arr.NumItems())
+	for rk := 0; rk < arr.NumItems(); rk++ {
+		rankOf[arr.ItemName(uint32(rk))] = uint32(rk)
+	}
+	return &Index{arr: arr, BaseSupport: baseSupport, NumTx: numTx, rankOf: rankOf}
 }
 
 // BuildIndex scans src twice and builds the index at the given options'
@@ -74,7 +86,7 @@ func (o Options) build(src Source, counts *dataset.Counts) (*core.Tree, *Index, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return tree, &Index{arr: arr, BaseSupport: minSup, NumTx: counts.NumTx}, nil
+	return tree, newIndex(arr, minSup, counts.NumTx), nil
 }
 
 // Bytes returns the index's in-memory footprint (triples + item index).
@@ -87,12 +99,6 @@ func (ix *Index) Bytes() int64 { return ix.arr.Bytes() }
 func (ix *Index) SupportOf(items []Item) uint64 {
 	if len(items) == 0 {
 		return 0
-	}
-	if ix.rankOf == nil {
-		ix.rankOf = make(map[Item]uint32, ix.arr.NumItems())
-		for rk := 0; rk < ix.arr.NumItems(); rk++ {
-			ix.rankOf[ix.arr.ItemName(uint32(rk))] = uint32(rk)
-		}
 	}
 	ranks := make([]uint32, 0, len(items))
 	for _, it := range items {
@@ -162,11 +168,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{
-		arr:         arr,
-		BaseSupport: getU64(hdr[0:]),
-		NumTx:       getU64(hdr[8:]),
-	}, nil
+	return newIndex(arr, getU64(hdr[0:]), getU64(hdr[8:])), nil
 }
 
 // SaveIndex writes the index to a file.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -160,6 +161,35 @@ func TestIndexSupportOfAfterReload(t *testing.T) {
 	if s := got.SupportOf([]Item{1, 2}); s != 3 {
 		t.Errorf("reloaded SupportOf(1,2) = %d, want 3", s)
 	}
+}
+
+// TestIndexSupportOfConcurrent queries a freshly read index from
+// several goroutines at once: SupportOf must only read shared state,
+// so -race stays quiet.
+func TestIndexSupportOfConcurrent(t *testing.T) {
+	ix, err := BuildIndex(exampleDB, Options{MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if s := got.SupportOf([]Item{1, 2}); s != 3 {
+				t.Errorf("concurrent SupportOf(1,2) = %d, want 3", s)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // scanCounter is a Source that counts its scans.

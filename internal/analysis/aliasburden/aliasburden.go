@@ -9,15 +9,15 @@
 // code is simply wrong (a write through one parameter invalidates what
 // was just read through the other), and the compiler's bounds-check
 // and load elimination give up in exactly the loops where it matters.
-// None of the existing layers can see this: summary knows a function
-// writes through slot 0, pointsto knows two expressions share an
-// object — only combining the two proves (or refutes) the noalias
-// assumption at every hot call site.
+// Neither half of pointsto sees this alone: its write mask knows a
+// function writes through slot 0, its points-to sets know two
+// expressions share an object — only combining the two proves (or
+// refutes) the noalias assumption at every hot call site.
 //
 // The check is caller-side: every call in the package whose callee is
-// declared here with the //cfplint:hot doc marker (allochot's exact
-// convention) is examined; for each argument pair where the callee's
-// summary says it writes through at least one of the two slots, the
+// declared here with the //cfplint:hot doc marker (analysis.IsHot) is
+// examined; for each argument pair where the callee's write mask says
+// it writes through at least one of the two slots, the
 // pair's points-to sets must not share a mutable object. Objects whose
 // region is exactly Frozen are exempt — frozen memory cannot be
 // written (frozenro enforces that separately), so sharing it between
@@ -36,8 +36,6 @@ import (
 	"cfpgrowth/internal/analysis/summary"
 )
 
-const hotMarker = "//cfplint:hot"
-
 // Analyzer flags aliasing argument pairs at hot call sites.
 var Analyzer = &analysis.Analyzer{
 	Name: "aliasburden",
@@ -45,8 +43,8 @@ var Analyzer = &analysis.Analyzer{
 mutable object into a //cfplint:hot function that writes through one of
 them: hot inner loops assume noalias parameters, and an aliasing caller
 breaks both correctness and the optimizer`,
-	Requires:  []*analysis.Analyzer{pointsto.Analyzer, summary.Analyzer},
-	FactTypes: []analysis.Fact{new(summary.Effects), new(pointsto.Points), new(pointsto.Escapes)},
+	Requires:  []*analysis.Analyzer{pointsto.Analyzer},
+	FactTypes: []analysis.Fact{new(pointsto.Escapes)},
 	Run:       run,
 }
 
@@ -59,7 +57,7 @@ func run(pass *analysis.Pass) error {
 	// Hot callees declared in this package.
 	hot := map[*types.Func]bool{}
 	for _, fd := range pass.FuncDecls() {
-		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && isHot(fd) {
+		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && analysis.IsHot(fd) {
 			hot[fn] = true
 		}
 	}
@@ -67,7 +65,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 
-	lookup := summary.Lookuper(pass)
 	for _, fd := range pass.FuncDecls() {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -78,8 +75,8 @@ func run(pass *analysis.Pass) error {
 			if fn == nil || !hot[fn] {
 				return true
 			}
-			eff := lookup(fn)
-			if eff == nil || eff.WritesParams == 0 {
+			writes := pointsto.ParamWrites(pass, fn)
+			if writes == 0 {
 				return true
 			}
 			args := summary.ArgExprs(call, fn)
@@ -96,7 +93,7 @@ func run(pass *analysis.Pass) error {
 					}
 					// Aliasing only burdens the callee when it writes
 					// through at least one slot of the pair.
-					if eff.WritesParams&(1<<i|1<<j) == 0 {
+					if writes&(1<<i|1<<j) == 0 {
 						continue
 					}
 					if o := sharedMutable(pts[i], pts[j]); o != nil {
@@ -129,16 +126,4 @@ func sharedMutable(a, b []*pointsto.Object) *pointsto.Object {
 		}
 	}
 	return nil
-}
-
-func isHot(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == hotMarker {
-			return true
-		}
-	}
-	return false
 }

@@ -36,29 +36,14 @@ loops inside functions whose doc comment carries //cfplint:hot`,
 	Run: run,
 }
 
-// marker is the doc-comment line that opts a function in.
-const marker = "//cfplint:hot"
-
 func run(pass *analysis.Pass) error {
 	for _, fd := range pass.FuncDecls() {
-		if !isHot(fd) {
+		if !analysis.IsHot(fd) {
 			continue
 		}
 		checkHot(pass, fd)
 	}
 	return nil
-}
-
-func isHot(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == marker {
-			return true
-		}
-	}
-	return false
 }
 
 func checkHot(pass *analysis.Pass, fd *ast.FuncDecl) {

@@ -102,6 +102,87 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// IdentObj resolves e (possibly parenthesized) to the object the
+// identifier names, used or defined, or nil for other expressions and
+// the blank identifier.
+func IdentObj(info *types.Info, e ast.Expr) types.Object {
+	if e == nil {
+		return nil
+	}
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// HasRecv reports whether fn is a method whose receiver is (a pointer
+// to) the named type pkgPath.typeName.
+func HasRecv(fn *types.Func, pkgPath, typeName string) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == typeName &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath
+}
+
+// IsPoolMethod reports whether fn is (*sync.Pool).name — Get or Put.
+func IsPoolMethod(fn *types.Func, name string) bool {
+	return fn != nil && fn.Name() == name && HasRecv(fn, "sync", "Pool")
+}
+
+// IsSinkEmit reports whether fn is a result-sink emission: a method
+// named Emit with the mine.Sink signature func([]uint32, uint64)
+// error. It matches the shape rather than the named interface, so
+// emissions through concrete sink types and wrappers count too.
+func IsSinkEmit(fn *types.Func) bool {
+	if fn == nil || fn.Name() != "Emit" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
+		return false
+	}
+	p0, ok := sig.Params().At(0).Type().Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b0, ok := p0.Elem().Underlying().(*types.Basic)
+	if !ok || b0.Kind() != types.Uint32 {
+		return false
+	}
+	b1, ok := sig.Params().At(1).Type().Underlying().(*types.Basic)
+	if !ok || b1.Kind() != types.Uint64 {
+		return false
+	}
+	named, ok := sig.Results().At(0).Type().(*types.Named)
+	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
+}
+
+// IsHot reports whether fd's doc comment carries the //cfplint:hot
+// marker that opts a function into the hot-path rules (allochot,
+// loopprogress, aliasburden).
+func IsHot(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == "//cfplint:hot" {
+			return true
+		}
+	}
+	return false
+}
+
 // IsByteSlice reports whether the type of e is []byte (possibly through
 // a named type).
 func IsByteSlice(info *types.Info, e ast.Expr) bool {

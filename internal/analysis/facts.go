@@ -2,7 +2,7 @@
 //
 // A Fact is a conclusion an analyzer attaches to a types.Object ("this
 // function performs a mine.Control stop-check on every path", "this
-// result of encoding.Uvarint is an untrusted length") so that a later
+// function may write through its first parameter") so that a later
 // pass — often over a different package — can consume it. The x/tools
 // framework serializes facts between separate driver processes; here
 // the driver type-checks every package through one Loader, so object
@@ -10,12 +10,15 @@
 // can simply be an in-memory map keyed by (object, fact type).
 //
 // Unlike x/tools there is no ownership rule that a fact may only be
-// exported for objects of the current package: the taint-source pass
-// deliberately annotates objects of imported packages (e.g. marking
-// encoding.Uvarint's results from whichever package imports it), which
-// keeps subset runs like `cfplint ./internal/core/` sound without
-// loading the whole module. Exports must therefore be deterministic
-// functions of the annotated object so that duplicate exports agree.
+// exported for objects of the current package, but every producer in
+// the suite annotates only its own package's functions: knowledge
+// about an imported API that no analyzed package can derive (say,
+// that encoding.Uvarint's results are untrusted) belongs in the
+// consumer, recognised by callee object, so subset runs like
+// `cfplint ./internal/core/` stay sound without loading the whole
+// module. Each fact type has one producer; a separate producer
+// analyzer is worth its phase only when several analyzers consume
+// its facts.
 package analysis
 
 import (

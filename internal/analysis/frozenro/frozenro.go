@@ -15,7 +15,7 @@
 //
 //   - direct stores whose base may point at a Frozen object,
 //   - call sites passing a frozen value into a parameter slot the
-//     callee's summary says it writes through (cross-function,
+//     callee writes through per pointsto's write mask (cross-function,
 //     cross-package via the shared fact store).
 package frozenro
 
@@ -36,8 +36,8 @@ frozen serving artifact (the result of a //cfplint:freezes function
 such as core.Convert or core.ReadArray): the CFP-array must be
 immutable after construction for the resident daemon and generation
 swap to be sound`,
-	Requires:  []*analysis.Analyzer{pointsto.Analyzer, summary.Analyzer},
-	FactTypes: []analysis.Fact{new(summary.Effects), new(pointsto.Points), new(pointsto.Escapes)},
+	Requires:  []*analysis.Analyzer{pointsto.Analyzer},
+	FactTypes: []analysis.Fact{new(pointsto.Escapes)},
 	Run:       run,
 }
 
@@ -66,7 +66,6 @@ func run(pass *analysis.Pass) error {
 
 	// Direction 2: frozen values handed to write-through parameter
 	// slots of callees.
-	lookup := summary.Lookuper(pass)
 	for _, fd := range pass.FuncDecls() {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -74,15 +73,12 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn := analysis.Callee(pass.TypesInfo, call)
-			if fn == nil {
-				return true
-			}
-			eff := lookup(fn)
-			if eff == nil || eff.WritesParams == 0 {
+			writes := pointsto.ParamWrites(pass, fn)
+			if writes == 0 {
 				return true
 			}
 			for i, arg := range summary.ArgExprs(call, fn) {
-				if arg == nil || i >= 32 || eff.WritesParams&(1<<i) == 0 {
+				if arg == nil || i >= 32 || writes&(1<<i) == 0 {
 					continue
 				}
 				for _, o := range r.ExprPts(arg) {

@@ -69,3 +69,18 @@ func mutateViaHelper() {
 	a := Build(4)
 	helper(a) // want `helper may write through its parameter 0`
 }
+
+// aliasHelper writes through a local alias of its parameter: the store
+// site is flagged through the frozen argument bound in below, and the
+// write mask makes the call site a write too.
+func aliasHelper(a *Array) {
+	d := a.data
+	d[0] = 1 // want `write to frozen memory`
+}
+
+// mutateViaAliasHelper hands the artifact to a callee whose write hides
+// behind a local alias.
+func mutateViaAliasHelper() {
+	a := Build(4)
+	aliasHelper(a) // want `aliasHelper may write through its parameter 0`
+}

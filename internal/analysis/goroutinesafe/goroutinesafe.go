@@ -339,20 +339,7 @@ func wgCall(info *types.Info, call *ast.CallExpr, name string) (string, bool) {
 		return "", false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "WaitGroup" ||
-		named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+	if !ok || !analysis.HasRecv(fn, "sync", "WaitGroup") {
 		return "", false
 	}
 	return types.ExprString(sel.X), true

@@ -122,8 +122,7 @@ func (p *lockProblem) lockCall(call *ast.CallExpr) (types.Object, string, bool, 
 	if fn == nil {
 		return nil, "", false, false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
+	if !analysis.HasRecv(fn, "sync", "Mutex") && !analysis.HasRecv(fn, "sync", "RWMutex") {
 		return nil, "", false, false
 	}
 	var acquire bool
@@ -143,19 +142,6 @@ func (p *lockProblem) lockCall(call *ast.CallExpr) (types.Object, string, bool, 
 		return nil, "", false, false
 	}
 	return obj, types.ExprString(sel.X), acquire, true
-}
-
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // orderEdge records "to was acquired while from was held".

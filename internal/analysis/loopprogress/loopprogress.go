@@ -48,10 +48,7 @@ import (
 	"cfpgrowth/internal/analysis/ssa"
 )
 
-const (
-	encodingPath = "cfpgrowth/internal/encoding"
-	hotMarker    = "//cfplint:hot"
-)
+const encodingPath = "cfpgrowth/internal/encoding"
 
 // Analyzer is the loopprogress pass.
 var Analyzer = &analysis.Analyzer{
@@ -65,7 +62,7 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	look := interval.PassLookuper(pass)
 	for _, fd := range pass.FuncDecls() {
-		hot := isHot(fd)
+		hot := analysis.IsHot(fd)
 		var loops []*ast.ForStmt
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if _, ok := n.(*ast.FuncLit); ok {
@@ -87,18 +84,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-func isHot(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == hotMarker {
-			return true
-		}
-	}
-	return false
 }
 
 // callsDecoder reports whether the loop body directly (not through a

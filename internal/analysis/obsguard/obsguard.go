@@ -150,10 +150,10 @@ func (p obsProblem) Transfer(s state, n ast.Node) state {
 				break
 			}
 			if start := startCall(info, n.Rhs[i]); start != nil {
-				if obj := identObj(info, lhs); obj != nil {
+				if obj := analysis.IdentObj(info, lhs); obj != nil {
 					s.open[openKey{obj, start.Pos()}] = true
 				}
-			} else if obj := identObj(info, lhs); obj != nil {
+			} else if obj := analysis.IdentObj(info, lhs); obj != nil {
 				// Reassignment from a non-Start value: the variable no
 				// longer holds any tracked span.
 				dropOpens(s, obj)
@@ -177,13 +177,13 @@ func (p obsProblem) scanExpr(s state, n ast.Node) {
 			fn := analysis.Callee(info, m)
 			if fn != nil && isSpanEnd(fn) {
 				if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok {
-					if obj := identObj(info, sel.X); obj != nil {
+					if obj := analysis.IdentObj(info, sel.X); obj != nil {
 						dropOpens(s, obj)
 						return false // receiver consumed; don't treat as escape
 					}
 				}
 			}
-			if fn != nil && isRecorderStart(fn) {
+			if fn != nil && isSpanStart(fn) {
 				// A start call reads its span arguments (StartChild's
 				// parent) without consuming them: scan the receiver and
 				// non-span arguments, but leave a plain span-ident
@@ -194,7 +194,7 @@ func (p obsProblem) scanExpr(s state, n ast.Node) {
 					p.scanExpr(s, sel.X)
 				}
 				for _, arg := range m.Args {
-					if obj := identObj(info, arg); obj != nil && isSpanType(obj.Type()) {
+					if obj := analysis.IdentObj(info, arg); obj != nil && isSpanType(obj.Type()) {
 						continue
 					}
 					p.scanExpr(s, arg)
@@ -229,7 +229,7 @@ func (p obsProblem) transferDefer(s state, d *ast.DeferStmt) {
 	call := d.Call
 	if fn := analysis.Callee(info, call); fn != nil && isSpanEnd(fn) {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if obj := identObj(info, sel.X); obj != nil {
+			if obj := analysis.IdentObj(info, sel.X); obj != nil {
 				dropOpens(s, obj)
 				return
 			}
@@ -389,7 +389,7 @@ func hasLaterEnd(pass *analysis.Pass, body *ast.BlockStmt, k openKey) bool {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if identObj(info, sel.X) == k.obj {
+			if analysis.IdentObj(info, sel.X) == k.obj {
 				found = true
 			}
 		}
@@ -409,7 +409,7 @@ func startCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	if fn == nil {
 		return nil
 	}
-	if isRecorderStart(fn) {
+	if isSpanStart(fn) {
 		return call
 	}
 	if isSpanBuilder(fn) {
@@ -420,34 +420,24 @@ func startCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	return nil
 }
 
-// identObj resolves e to the local variable object it names, or nil.
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-// isRecorderStart reports whether fn is (*obs.Recorder).Start or
-// StartChild; both open a span the caller must End.
-func isRecorderStart(fn *types.Func) bool {
-	return (fn.Name() == "Start" || fn.Name() == "StartChild") && hasObsRecv(fn, "Recorder")
+// isSpanStart reports whether fn is (*obs.Recorder).Start or
+// StartChild; both open a span the caller must End. (The ledger's
+// isPhaseStart matches only Start: only phase spans carry
+// bytes_delta.)
+func isSpanStart(fn *types.Func) bool {
+	return (fn.Name() == "Start" || fn.Name() == "StartChild") && analysis.HasRecv(fn, obsPath, "Recorder")
 }
 
 // isSpanBuilder reports whether fn is a (obs.Span) builder method
 // (With, WithWorker): value-in, value-out attribute setters that a
 // start call chains through before the result is assigned.
 func isSpanBuilder(fn *types.Func) bool {
-	return (fn.Name() == "With" || fn.Name() == "WithWorker") && hasObsRecv(fn, "Span")
+	return (fn.Name() == "With" || fn.Name() == "WithWorker") && analysis.HasRecv(fn, obsPath, "Span")
 }
 
 // isSpanEnd reports whether fn is (obs.Span).End.
 func isSpanEnd(fn *types.Func) bool {
-	return fn.Name() == "End" && hasObsRecv(fn, "Span")
+	return fn.Name() == "End" && analysis.HasRecv(fn, obsPath, "Span")
 }
 
 func isSpanType(t types.Type) bool {
@@ -459,19 +449,5 @@ func isSpanType(t types.Type) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Span" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == obsPath
-}
-
-func hasObsRecv(fn *types.Func, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == typeName &&
 		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == obsPath
 }

@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"go/token"
 	"go/types"
 
 	"cfpgrowth/internal/analysis/callgraph"
@@ -180,10 +181,10 @@ func (s *solver) resolveRoots() {
 
 // --- escape facts ---
 
-// computeEscapeFacts runs the per-function retention fixpoint (callee
-// masks feed caller masks, so the package iterates to stability like
-// summary does over its SCCs) and then materializes EscCallee edges
-// for consumer queries.
+// computeEscapeFacts runs the per-function retention and write-through
+// fixpoint (callee masks feed caller masks, so the package iterates to
+// stability like summary does over its SCCs) and then materializes
+// EscCallee edges for consumer queries.
 func (s *solver) computeEscapeFacts() {
 	escsBy := map[*types.Func][]int{}
 	for i, e := range s.escs {
@@ -197,9 +198,9 @@ func (s *solver) computeEscapeFacts() {
 		changed = false
 		for _, fn := range s.declOrder {
 			p, l := s.retentionMasks(fn, escsBy[fn], callsBy[fn])
-			cur := s.escMask[fn]
-			if cur == nil || cur.Params != p || cur.Lasting != l {
-				s.escMask[fn] = &Escapes{Params: p, Lasting: l}
+			e := &Escapes{Params: p, Lasting: l, Writes: s.paramWrites(fn, callsBy[fn])}
+			if cur := s.escMask[fn]; cur == nil || *cur != *e {
+				s.escMask[fn] = e
 				changed = true
 			}
 		}
@@ -313,6 +314,41 @@ func (s *solver) retentionMasks(fn *types.Func, escIdx, callIdx []int) (uint32, 
 		}
 	}
 	return pm, lm
+}
+
+// paramWrites computes which parameter slots of fn may be written
+// through: a store site of fn (stores inside its function literals
+// included) whose base may point at an object rooted at one of fn's
+// parameters, or an argument passed to a callee slot whose Escapes
+// fact says it writes. Aliases need no special case: `b := d.buf;
+// b[0] = 1` stores through b, whose points-to set is d's phantom.
+func (s *solver) paramWrites(fn *types.Func, callIdx []int) uint32 {
+	var m uint32
+	mark := func(b bits) {
+		b.forEach(func(id int) {
+			if o := s.objs[id]; o.Fn == fn && o.ParamSlot >= 0 && o.ParamSlot < maxSlots {
+				m |= 1 << o.ParamSlot
+			}
+		})
+	}
+	for _, i := range s.storesBy[fn] {
+		if st := s.stores[i]; st.pos != token.NoPos && st.base != nilNode {
+			mark(s.pts[st.base])
+		}
+	}
+	for _, i := range callIdx {
+		rec := s.calls[i]
+		em := s.escLookup(rec.callee)
+		if em == nil || em.Writes == 0 {
+			continue
+		}
+		for j, an := range rec.argNodes {
+			if an != nilNode && j < maxSlots && em.Writes&(1<<j) != 0 {
+				mark(s.pts[an])
+			}
+		}
+	}
+	return m
 }
 
 // factsFor derives the exported Points/Escapes facts of one function.

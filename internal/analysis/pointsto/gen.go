@@ -353,7 +353,7 @@ func (s *solver) genCall(call *ast.CallExpr) []nodeID {
 	// frozen object (the freeze boundary), the result of a pool getter
 	// is a pooled root, and an arena accessor result is an interior
 	// pointer rooted at the receiver's arena.
-	if hasRecvNamed(fn, "arena", "Arena") && s.callHasTrackedResult(call) {
+	if analysis.HasRecv(fn, arenaPath, "Arena") && s.callHasTrackedResult(call) {
 		obj := s.newObject("arena memory from "+fn.Name(), Arena, call.Pos())
 		obj.Fn = s.curFn
 		obj.Derived = true
@@ -451,7 +451,7 @@ func (s *solver) callRegion(fn *types.Func) Region {
 	if s.pass.ImportObjectFact(fn, &pf) {
 		r |= pf.Fresh & (Frozen | Pool | Arena | Ring)
 	}
-	if isPoolMethod(fn, "Get") || strings.HasPrefix(fn.Name(), "acquire") {
+	if analysis.IsPoolMethod(fn, "Get") || strings.HasPrefix(fn.Name(), "acquire") {
 		r |= Pool
 	} else if eff := s.eff(fn); eff != nil && eff.GetsPooled {
 		r |= Pool
@@ -469,11 +469,11 @@ func (s *solver) recordRelease(call *ast.CallExpr, fn *types.Func, argNodes []no
 		}
 	}
 	switch {
-	case isPoolMethod(fn, "Put"):
+	case analysis.IsPoolMethod(fn, "Put"):
 		for _, n := range argNodes[1:] {
 			add(n)
 		}
-	case fn.Name() == "Reset" && hasRecvNamed(fn, "arena", "Arena"):
+	case fn.Name() == "Reset" && analysis.HasRecv(fn, arenaPath, "Arena"):
 		if len(argNodes) > 0 {
 			add(argNodes[0])
 		}

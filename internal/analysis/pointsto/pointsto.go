@@ -28,13 +28,17 @@
 // That is the property frozenro, arenaescape, and aliasburden consume:
 // "no store whose base may be Frozen", "no Arena/Pool-derived pointer
 // retained past its release", "no two hot-path arguments sharing an
-// object".
+// object". The same store sites answer which parameters a function
+// may write through (Escapes.Writes) — through any local alias, which
+// a syntactic scan cannot see — for frozenro, aliasburden and
+// sharedro.
 //
 // Interprocedurally the solver composes the same way summary does:
 // in-package calls bind arguments to parameter nodes directly;
 // cross-package calls resolve through Points/Escapes facts in the
 // shared fact store (the driver analyzes packages in dependency
-// order), falling back to summary.Effects for spawn/write knowledge.
+// order), falling back to summary.Effects for pool knowledge
+// (GetsPooled, PutsParams).
 // Unresolved dynamic calls follow the framework's documented ⊤ policy:
 // their results are opaque heap objects and their arguments are
 // assumed unretained — the same unsoundness trade summary makes, kept
@@ -186,8 +190,9 @@ type Points struct {
 // AFact marks Points as a fact type.
 func (*Points) AFact() {}
 
-// Escapes is the per-function fact recording which parameter slots the
-// function may retain beyond the call.
+// Escapes is the per-function fact recording what the function may do
+// to its parameters beyond reading them: retain them past the call, or
+// write through them.
 type Escapes struct {
 	// Params: bit i set when slot i's value may be retained anywhere —
 	// stored into a global or another parameter's memory, sent on a
@@ -201,6 +206,12 @@ type Escapes struct {
 	// reasoning about release safety (arenaescape, poolreturn) use
 	// this mask.
 	Lasting uint32
+	// Writes: bit i set when memory reachable from slot i may be
+	// written — a store, ++, copy or append whose base may point at an
+	// object rooted at the parameter (through any local alias), or an
+	// argument handed to a callee slot that writes. frozenro,
+	// aliasburden and sharedro read it through ParamWrites.
+	Writes uint32
 }
 
 // AFact marks Escapes as a fact type.
@@ -215,9 +226,9 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `Andersen-style points-to and lifetime-region solver: allocation
 sites become abstract objects tagged arena/pool/frozen/ring/heap,
 assignments become a constraint graph collapsed with Tarjan SCCs, and
-per-function Points/Escapes facts let the region model compose across
-packages; frozenro, arenaescape, aliasburden and the rewired poolreturn
-consume the result`,
+per-function Points/Escapes facts (with the parameter write mask) let
+the region model compose across packages; frozenro, arenaescape,
+aliasburden, sharedro and the rewired poolreturn consume the result`,
 	Requires:  []*analysis.Analyzer{summary.Analyzer},
 	FactTypes: []analysis.Fact{new(Points), new(Escapes), new(summary.Effects)},
 	Run:       run,
@@ -266,11 +277,22 @@ func run(pass *analysis.Pass) error {
 		if p.Fresh != 0 || p.ReturnsParams != 0 || p.ReturnsParamMem != 0 {
 			pass.ExportObjectFact(fn, p)
 		}
-		if e.Params != 0 {
+		if e.Params != 0 || e.Writes != 0 {
 			pass.ExportObjectFact(fn, e)
 		}
 	}
 	return nil
+}
+
+// ParamWrites returns the write-through parameter mask of fn (its
+// Escapes fact's Writes), or 0 when nothing is known. Callers must
+// Require Analyzer and declare Escapes in their FactTypes.
+func ParamWrites(pass *analysis.Pass, fn *types.Func) uint32 {
+	var e Escapes
+	if fn == nil || !pass.ImportObjectFact(fn, &e) {
+		return 0
+	}
+	return e.Writes
 }
 
 // A Result answers the queries the consuming analyzers need. All
@@ -307,7 +329,7 @@ type Store struct {
 	// pointees, "#k" for map keys.
 	Field string
 	// Fn is the enclosing declared function.
-	Fn *types.Func
+	Fn   *types.Func
 	base nodeID
 }
 
@@ -331,6 +353,17 @@ func (r *Result) BaseObjects(st Store) []*Object {
 	return r.s.objects(r.s.pts[st.base])
 }
 
+// Reachable returns objs together with everything reachable from them
+// through stored fields.
+func (r *Result) Reachable(objs []*Object) []*Object {
+	var set bits
+	for _, o := range objs {
+		set.add(o.ID)
+	}
+	r.s.fieldClosure(&set)
+	return r.s.objects(set)
+}
+
 // LitCaptures returns the variables a function literal captures from
 // its enclosing function (free variables that are tracked pointers),
 // in source order of first use. It replaces lexical ident scans:
@@ -348,7 +381,7 @@ type Escape struct {
 	// Kind describes the escape route.
 	Kind EscapeKind
 	// Fn is the enclosing declared function.
-	Fn *types.Func
+	Fn   *types.Func
 	node nodeID
 }
 

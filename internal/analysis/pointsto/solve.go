@@ -94,16 +94,16 @@ type solver struct {
 
 	// Per-function structure.
 	declOrder []*types.Func
-	retN     map[*types.Func][]nodeID
-	named    map[*types.Func][]types.Object
-	paramPh  map[*types.Func][]int
-	joins    map[*types.Func]bool
-	relRecs  map[*types.Func][]releaseRec
-	escs     []escEdge
-	calls    []callRec
-	caps     map[*ast.FuncLit][]types.Object
-	capSeen  map[*ast.FuncLit]map[types.Object]bool
-	storesBy map[*types.Func][]int
+	retN      map[*types.Func][]nodeID
+	named     map[*types.Func][]types.Object
+	paramPh   map[*types.Func][]int
+	joins     map[*types.Func]bool
+	relRecs   map[*types.Func][]releaseRec
+	escs      []escEdge
+	calls     []callRec
+	caps      map[*ast.FuncLit][]types.Object
+	capSeen   map[*ast.FuncLit]map[types.Object]bool
+	storesBy  map[*types.Func][]int
 
 	// Directives.
 	freeze   map[*types.Func]bool
@@ -223,6 +223,7 @@ func (s *solver) varNodeFor(obj types.Object) nodeID {
 const (
 	freezeMarker = "//cfplint:freezes"
 	regionMarker = "//cfplint:region "
+	arenaPath    = "cfpgrowth/internal/arena"
 )
 
 func regionByName(name string) Region {
@@ -265,45 +266,6 @@ func (s *solver) scanDirectives(fd *ast.FuncDecl, fn *types.Func) {
 // or an imported package).
 func isGlobalVar(v *types.Var) bool {
 	return !v.IsField() && v.Parent() != nil && v.Parent().Parent() == types.Universe
-}
-
-// hasRecvNamed reports whether fn's receiver is (a pointer to) a named
-// type typeName declared in a package named pkgName. Matching the
-// package name rather than its import path keeps the intrinsic
-// testable from fixture modules that declare their own arena package.
-func hasRecvNamed(fn *types.Func, pkgName, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == typeName &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == pkgName
-}
-
-// isPoolMethod reports whether fn is (*sync.Pool).name.
-func isPoolMethod(fn *types.Func, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Pool" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
 
 // --- type classification ---
@@ -445,7 +407,7 @@ func (s *solver) genBody(fd *ast.FuncDecl, fn *types.Func) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if callee := analysis.Callee(s.info, call); callee != nil &&
-				callee.Name() == "Wait" && hasRecvNamed(callee, "sync", "WaitGroup") {
+				callee.Name() == "Wait" && analysis.HasRecv(callee, "sync", "WaitGroup") {
 				s.joins[fn] = true
 			}
 		}

@@ -162,7 +162,7 @@ func (p problem) Transfer(s state, n ast.Node) state {
 			if i >= len(n.Rhs) {
 				break
 			}
-			obj := identObj(info, lhs)
+			obj := analysis.IdentObj(info, lhs)
 			if obj == nil {
 				// A store into a field/element transfers ownership of any
 				// token named on the RHS.
@@ -269,7 +269,7 @@ func (p problem) acquireCall(e ast.Expr) *ast.CallExpr {
 	if fn == nil {
 		return nil
 	}
-	if isPoolMethod(fn, "Get") || strings.HasPrefix(strings.ToLower(fn.Name()), "acquire") {
+	if analysis.IsPoolMethod(fn, "Get") || strings.HasPrefix(strings.ToLower(fn.Name()), "acquire") {
 		return call
 	}
 	if eff := p.lookup(fn); eff != nil && eff.GetsPooled {
@@ -286,9 +286,9 @@ func (p problem) releaseCall(s state, call *ast.CallExpr) bool {
 	if fn == nil {
 		return false
 	}
-	if isPoolMethod(fn, "Put") || strings.HasPrefix(strings.ToLower(fn.Name()), "release") {
+	if analysis.IsPoolMethod(fn, "Put") || strings.HasPrefix(strings.ToLower(fn.Name()), "release") {
 		for _, a := range call.Args {
-			if obj := identObj(info, a); obj != nil {
+			if obj := analysis.IdentObj(info, a); obj != nil {
 				drop(s, obj)
 			}
 		}
@@ -299,7 +299,7 @@ func (p problem) releaseCall(s state, call *ast.CallExpr) bool {
 			if a == nil || eff.PutsParams&(1<<i) == 0 {
 				continue
 			}
-			if obj := identObj(info, a); obj != nil {
+			if obj := analysis.IdentObj(info, a); obj != nil {
 				drop(s, obj)
 			}
 		}
@@ -336,7 +336,7 @@ func (p problem) deferCall(s state, call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	release := isPoolMethod(fn, "Put") || strings.HasPrefix(strings.ToLower(fn.Name()), "release")
+	release := analysis.IsPoolMethod(fn, "Put") || strings.HasPrefix(strings.ToLower(fn.Name()), "release")
 	var eff *summary.Effects
 	if !release {
 		eff = p.lookup(fn)
@@ -346,7 +346,7 @@ func (p problem) deferCall(s state, call *ast.CallExpr) {
 	}
 	if release {
 		for _, a := range call.Args {
-			if obj := identObj(info, a); obj != nil {
+			if obj := analysis.IdentObj(info, a); obj != nil {
 				s.defObjs[obj] = true
 			}
 		}
@@ -356,7 +356,7 @@ func (p problem) deferCall(s state, call *ast.CallExpr) {
 		if a == nil || eff.PutsParams&(1<<i) == 0 {
 			continue
 		}
-		if obj := identObj(info, a); obj != nil {
+		if obj := analysis.IdentObj(info, a); obj != nil {
 			s.defObjs[obj] = true
 		}
 	}
@@ -365,7 +365,7 @@ func (p problem) deferCall(s state, call *ast.CallExpr) {
 // dropNamed closes the tokens of every variable named as a bare
 // identifier in e (ownership transfer).
 func (p problem) dropNamed(s state, e ast.Expr) {
-	if obj := identObj(p.pass.TypesInfo, e); obj != nil {
+	if obj := analysis.IdentObj(p.pass.TypesInfo, e); obj != nil {
 		drop(s, obj)
 	}
 }
@@ -431,35 +431,4 @@ func check(pass *analysis.Pass, body *ast.BlockStmt, lookup summary.Lookup, pts 
 			pass.Reportf(k.pos, "pooled value %s obtained here is not returned to its pool on every return path (an early return or error exit skips the release); release it on each path or defer the release", k.obj.Name())
 		}
 	}
-}
-
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	if e == nil {
-		return nil
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-func isPoolMethod(fn *types.Func, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Pool" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }

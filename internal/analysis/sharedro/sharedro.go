@@ -13,17 +13,25 @@
 // mine.RunSharded. A variable captured from the spawning scope is
 // shared; writes to it or through it are reported:
 //
-//   - directly: d.field = v, d.buf[i] = v, *d = v, d = v, d.n++;
-//   - via a callee whose summary (summary.Effects.WritesParams) says
-//     it writes through the parameter the shared variable is passed
-//     as — including method receivers, so topDec.From(arr) inside a
+//   - directly: d.field = v, d.buf[i] = v, *d = v, d = v, d.n++,
+//     copy(d.buf, ...);
+//   - through a worker-local alias: b := d.buf; b[0] = v, where
+//     pointsto says b may point into memory reachable from d;
+//   - via a callee whose pointsto write mask (pointsto.ParamWrites)
+//     says it writes through the parameter the shared value is passed
+//     as — including method receivers and callees that write through
+//     a local alias of their parameter, so topDec.From(arr) inside a
 //     worker is caught even though the store is two calls deep.
 //
 // Two access shapes are exempt: an access indexed by one of the
 // closure's own parameters (growers[worker], arenas[worker] — the
-// pool partitions those by construction), and values of the
+// pool partitions those by construction), together with the memory
+// reachable from it (m := ds[worker]; m.n++), and values of the
 // synchronized layers (internal/mine, internal/obs, sync, context,
 // and interface values), whose mutation is their own contract.
+// Points-to sets do not tell elements apart, so once a worker touches
+// ds[worker], a write through a local alias of any element of ds is
+// taken as partitioned too; a direct ds[0].n = v is still reported.
 package sharedro
 
 import (
@@ -32,6 +40,7 @@ import (
 	"go/types"
 
 	"cfpgrowth/internal/analysis"
+	"cfpgrowth/internal/analysis/pointsto"
 	"cfpgrowth/internal/analysis/summary"
 )
 
@@ -40,18 +49,21 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedro",
 	Doc: `forbids writes from a mine.RunSharded worker closure to values
-captured from the spawning scope (directly or through a callee whose
-summary writes a parameter): workers share the top-level CFP-array and
-its flat decoding read-only, and an unsynchronized write is a data
-race; per-worker state indexed by the closure's parameters and the
-synchronized mine/obs layers are exempt`,
-	Requires:  []*analysis.Analyzer{summary.Analyzer},
-	FactTypes: []analysis.Fact{new(summary.Effects)},
+captured from the spawning scope (directly, through a worker-local
+alias, or through a callee that writes a parameter): workers share the
+top-level CFP-array and its flat decoding read-only, and an
+unsynchronized write is a data race; per-worker state indexed by the
+closure's parameters and the synchronized mine/obs layers are exempt`,
+	Requires:  []*analysis.Analyzer{pointsto.Analyzer},
+	FactTypes: []analysis.Fact{new(pointsto.Escapes)},
 	Run:       run,
 }
 
 func run(pass *analysis.Pass) error {
-	lookup := summary.Lookuper(pass)
+	r := pointsto.ResultOf(pass)
+	if r == nil {
+		return nil
+	}
 	for _, fd := range pass.FuncDecls() {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -67,7 +79,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			if lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit); ok {
-				checkWorker(pass, lit, lookup)
+				newWorker(pass, r, lit).check()
 			}
 			return true
 		})
@@ -75,79 +87,134 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkWorker reports shared-state writes inside one worker literal.
-func checkWorker(pass *analysis.Pass, lit *ast.FuncLit, lookup summary.Lookup) {
-	info := pass.TypesInfo
+const (
+	raceDirect = "worker closure writes %s, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts"
+	raceAlias  = "worker closure writes %s, which may point into %s, captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts"
+	raceCopy   = "copy writes into %s, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts"
+	raceCall   = "call to %s writes through %s, which is captured from the spawning scope and shared across RunSharded workers; workers may only read shared decodes — give each worker its own copy or do the write before the pool starts"
+	raceCallAl = "call to %s writes through %s, which may point into %s, captured from the spawning scope and shared across RunSharded workers; workers may only read shared decodes — give each worker its own copy or do the write before the pool starts"
+)
 
-	// The closure's own parameters: accesses indexed by them are
-	// partitioned per worker/shard/job and exempt.
-	params := map[types.Object]bool{}
+// A worker is one RunSharded worker literal under check.
+type worker struct {
+	pass *analysis.Pass
+	r    *pointsto.Result
+	lit  *ast.FuncLit
+	// params are the closure's own parameters: accesses indexed by
+	// them are partitioned per worker/shard/job and exempt.
+	params map[types.Object]bool
+	// shared maps each object reachable from a captured,
+	// unsynchronized variable — minus the memory reached through
+	// parameter-indexed accesses — to that variable.
+	shared map[int]types.Object
+}
+
+func newWorker(pass *analysis.Pass, r *pointsto.Result, lit *ast.FuncLit) *worker {
+	w := &worker{pass: pass, r: r, lit: lit, params: map[types.Object]bool{}, shared: map[int]types.Object{}}
 	for _, f := range lit.Type.Params.List {
 		for _, name := range f.Names {
-			if obj := info.Defs[name]; obj != nil {
-				params[obj] = true
+			if obj := pass.TypesInfo.Defs[name]; obj != nil {
+				w.params[obj] = true
 			}
 		}
 	}
-
+	for _, v := range r.LitCaptures(lit) {
+		if synchronized(v.Type()) {
+			continue
+		}
+		for _, o := range r.Reachable(r.VarPts(v)) {
+			if _, ok := w.shared[o.ID]; !ok {
+				w.shared[o.ID] = v
+			}
+		}
+	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if ix, ok := n.(*ast.IndexExpr); ok && w.paramIndexed(ix) {
+			for _, o := range r.Reachable(r.ExprPts(ix)) {
+				delete(w.shared, o.ID)
+			}
+		}
+		return true
+	})
+	return w
+}
+
+// check reports shared-state writes inside the worker literal.
+func (w *worker) check() {
+	ast.Inspect(w.lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
 				break
 			}
 			for _, lhs := range n.Lhs {
-				if obj, ok := sharedRoot(info, lit, params, lhs); ok {
-					pass.Reportf(lhs.Pos(), "worker closure writes %s, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts", obj.Name())
-				}
+				w.checkStore(lhs)
 			}
 		case *ast.IncDecStmt:
-			if obj, ok := sharedRoot(info, lit, params, n.X); ok {
-				pass.Reportf(n.X.Pos(), "worker closure writes %s, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts", obj.Name())
-			}
+			w.checkStore(n.X)
 		case *ast.CallExpr:
-			checkCall(pass, lit, params, n, lookup)
+			w.checkCall(n)
 		}
 		return true
 	})
 }
 
-// checkCall reports shared captures passed where the callee's summary
-// writes.
-func checkCall(pass *analysis.Pass, lit *ast.FuncLit, params map[types.Object]bool, call *ast.CallExpr, lookup summary.Lookup) {
-	info := pass.TypesInfo
-	// copy(dst, ...) writes dst like a callee writing its first param.
+// checkStore reports a write to lhs that may land in shared state.
+func (w *worker) checkStore(lhs ast.Expr) {
+	root, ok := w.root(lhs)
+	if !ok {
+		return
+	}
+	if w.captured(root) {
+		w.pass.Reportf(lhs.Pos(), raceDirect, root.Name())
+		return
+	}
+	if cap := w.aliased(storeBase(lhs)); cap != nil {
+		w.pass.Reportf(lhs.Pos(), raceAlias, root.Name(), cap.Name())
+	}
+}
+
+// checkCall reports shared values passed where the callee writes:
+// copy's destination, or a slot of the callee's pointsto write mask.
+func (w *worker) checkCall(call *ast.CallExpr) {
+	info := w.pass.TypesInfo
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) == 2 {
 		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
-			if obj, ok := sharedRoot(info, lit, params, call.Args[0]); ok {
-				pass.Reportf(call.Args[0].Pos(), "copy writes into %s, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts", obj.Name())
+			if root, ok := w.root(call.Args[0]); ok {
+				if w.captured(root) {
+					w.pass.Reportf(call.Args[0].Pos(), raceCopy, root.Name())
+				} else if cap := w.aliased(call.Args[0]); cap != nil {
+					w.pass.Reportf(call.Args[0].Pos(), raceAlias, root.Name(), cap.Name())
+				}
 			}
 			return
 		}
 	}
 	fn := analysis.Callee(info, call)
-	if fn == nil {
-		return
-	}
-	eff := lookup(fn)
-	if eff == nil || eff.WritesParams == 0 {
+	writes := pointsto.ParamWrites(w.pass, fn)
+	if writes == 0 {
 		return
 	}
 	for i, a := range summary.ArgExprs(call, fn) {
-		if a == nil || eff.WritesParams&(1<<i) == 0 {
+		if a == nil || i >= 32 || writes&(1<<i) == 0 {
 			continue
 		}
-		if obj, ok := sharedRoot(info, lit, params, a); ok {
-			pass.Reportf(a.Pos(), "call to %s writes through %s, which is captured from the spawning scope and shared across RunSharded workers; workers may only read shared decodes — give each worker its own copy or do the write before the pool starts", fn.Name(), obj.Name())
+		root, ok := w.root(a)
+		if !ok {
+			continue
+		}
+		if w.captured(root) {
+			w.pass.Reportf(a.Pos(), raceCall, fn.Name(), root.Name())
+		} else if cap := w.aliased(a); cap != nil {
+			w.pass.Reportf(a.Pos(), raceCallAl, fn.Name(), root.Name(), cap.Name())
 		}
 	}
 }
 
-// sharedRoot chases e to its base variable and reports it when that
-// variable is captured shared state: declared outside the worker
-// literal, not reached through a parameter-indexed access, and not
-// part of the synchronized layers.
-func sharedRoot(info *types.Info, lit *ast.FuncLit, params map[types.Object]bool, e ast.Expr) (types.Object, bool) {
+// root chases e to its base variable. It fails for accesses indexed
+// by a closure parameter (partitioned by construction), for values of
+// the synchronized layers, and for expressions with no variable root.
+func (w *worker) root(e ast.Expr) (*types.Var, bool) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -163,9 +230,7 @@ func sharedRoot(info *types.Info, lit *ast.FuncLit, params map[types.Object]bool
 		case *ast.SliceExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			// Indexed by a closure parameter: the pool partitions this
-			// access per worker/shard/job by construction.
-			if id, ok := ast.Unparen(x.Index).(*ast.Ident); ok && params[info.Uses[id]] {
+			if w.paramIndexed(x) {
 				return nil, false
 			}
 			e = x.X
@@ -174,19 +239,51 @@ func sharedRoot(info *types.Info, lit *ast.FuncLit, params map[types.Object]bool
 			if !ok {
 				return nil, false
 			}
-			v, ok := info.Uses[id].(*types.Var)
-			if !ok || v.IsField() {
-				return nil, false
-			}
-			if lit.Pos() <= v.Pos() && v.Pos() <= lit.End() {
-				return nil, false // the closure's own local or parameter
-			}
-			if synchronized(v.Type()) {
+			v, ok := w.pass.TypesInfo.Uses[id].(*types.Var)
+			if !ok || v.IsField() || synchronized(v.Type()) {
 				return nil, false
 			}
 			return v, true
 		}
 	}
+}
+
+// captured reports whether v is declared outside the worker literal.
+func (w *worker) captured(v *types.Var) bool {
+	return v.Pos() < w.lit.Pos() || v.Pos() > w.lit.End()
+}
+
+// aliased returns the captured variable whose memory e may point
+// into, or nil.
+func (w *worker) aliased(e ast.Expr) types.Object {
+	for _, o := range w.r.ExprPts(e) {
+		if v, ok := w.shared[o.ID]; ok {
+			return v
+		}
+	}
+	return nil
+}
+
+// paramIndexed reports whether ix is indexed by one of the closure's
+// parameters.
+func (w *worker) paramIndexed(ix *ast.IndexExpr) bool {
+	id, ok := ast.Unparen(ix.Index).(*ast.Ident)
+	return ok && w.params[w.pass.TypesInfo.Uses[id]]
+}
+
+// storeBase returns the expression whose memory a store to lhs writes:
+// the operand of the outermost selector, index or dereference. A bare
+// identifier is a rebind of a worker-local and has no base.
+func storeBase(lhs ast.Expr) ast.Expr {
+	switch x := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr:
+		return x.X
+	case *ast.IndexExpr:
+		return x.X
+	case *ast.StarExpr:
+		return x.X
+	}
+	return nil
 }
 
 // synchronized reports whether t belongs to the layers whose

@@ -16,6 +16,13 @@ func (d *dec) fill() { d.n++ }
 // scribble writes through its parameter: writes(0x1).
 func scribble(d *dec) { d.n = 7 }
 
+// aliasScribble writes through a local alias of its parameter: only an
+// alias-aware write mask sees it.
+func aliasScribble(d *dec) {
+	b := d.buf
+	b[0] = 1
+}
+
 // peek only reads.
 func peek(d *dec) int { return d.n }
 
@@ -59,6 +66,29 @@ func paramWrite(workers int, shards [][]int, ctl *mine.Control, top *dec) error 
 func copyWrite(workers int, shards [][]int, ctl *mine.Control, top []uint32) error {
 	return mine.RunSharded(workers, shards, ctl, func(worker, shard, job int) error {
 		copy(top, []uint32{1}) // want `^copy writes into top, which is captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts$`
+		return nil
+	})
+}
+
+func calleeAliasWrite(workers int, shards [][]int, ctl *mine.Control, top *dec) error {
+	return mine.RunSharded(workers, shards, ctl, func(worker, shard, job int) error {
+		aliasScribble(top) // want `^call to aliasScribble writes through top, which is captured from the spawning scope and shared across RunSharded workers; workers may only read shared decodes — give each worker its own copy or do the write before the pool starts$`
+		return nil
+	})
+}
+
+func localAliasWrite(workers int, shards [][]int, ctl *mine.Control, top *dec) error {
+	return mine.RunSharded(workers, shards, ctl, func(worker, shard, job int) error {
+		b := top.buf
+		b[0] = uint32(job) // want `^worker closure writes b, which may point into top, captured from the spawning scope and shared across RunSharded workers; an unsynchronized write here is a data race — make it worker-local or write it before the pool starts$`
+		return nil
+	})
+}
+
+func localAliasCall(workers int, shards [][]int, ctl *mine.Control, top *dec) error {
+	return mine.RunSharded(workers, shards, ctl, func(worker, shard, job int) error {
+		m := top
+		scribble(m) // want `^call to scribble writes through m, which may point into top, captured from the spawning scope and shared across RunSharded workers; workers may only read shared decodes — give each worker its own copy or do the write before the pool starts$`
 		return nil
 	})
 }

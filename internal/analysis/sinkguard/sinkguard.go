@@ -13,11 +13,11 @@
 // ctl.Stopped() { return }`) guards both arms. Two refinements make
 // the common idioms precise without suppressions:
 //
-//   - Helper facts: the companion facts pass records a ChecksControl
-//     fact for every function that performs a stop check on every path
-//     to its return (the check-then-emit helpers of the miners).
-//     Calling such a helper counts as a check in the caller, including
-//     across packages when the driver shares a fact store.
+//   - Helper facts: before checking anything, Run records a
+//     ChecksControl fact for every function that performs a stop check
+//     on every path to its return (the check-then-emit helpers of the
+//     miners). Calling such a helper counts as a check in the caller,
+//     including across packages when the driver shares a fact store.
 //   - Function literals inherit the dataflow state at their creation
 //     point: a literal created after an entry guard is itself guarded,
 //     but a check inside a literal body never guards emissions in the
@@ -58,18 +58,6 @@ type EmitsUnguarded struct{}
 // AFact marks EmitsUnguarded as a fact type.
 func (*EmitsUnguarded) AFact() {}
 
-// FactsAnalyzer computes ChecksControl facts for the current package.
-// It reports nothing; it exists so the main analyzer's Requires edge
-// makes the producer/consumer ordering explicit to the runner.
-var FactsAnalyzer = &analysis.Analyzer{
-	Name: "sinkguardfacts",
-	Doc: `exports a ChecksControl fact for every function that performs a
-mine.Control stop-check on all paths to its return; consumed by
-sinkguard to accept emissions guarded through package-local helpers`,
-	FactTypes: []analysis.Fact{new(ChecksControl)},
-	Run:       runFacts,
-}
-
 // Analyzer is the sinkguard rule. The driver applies it to the mining
 // packages (internal/core, internal/pfp, internal/fptree,
 // internal/algo/...); package internal/mine itself, which implements
@@ -83,7 +71,7 @@ paths — so no itemset is emitted after the run has been stopped; an
 unguarded call to a helper whose summary says it emits (EmitsSink)
 without checking internally is flagged the same way, so wrapping the
 Emit in a package-local helper cannot hide it`,
-	Requires:  []*analysis.Analyzer{FactsAnalyzer, summary.Analyzer},
+	Requires:  []*analysis.Analyzer{summary.Analyzer},
 	FactTypes: []analysis.Fact{new(ChecksControl), new(EmitsUnguarded), new(summary.Effects)},
 	Run:       run,
 }
@@ -94,9 +82,22 @@ const minePath = "cfpgrowth/internal/mine"
 // has happened on every path to this point".
 type checkedProblem struct {
 	pass *analysis.Pass
-	// lookup resolves callee summaries (nil inside the facts pass,
-	// which runs before summaries are needed).
+	// lookup resolves callee summaries.
 	lookup summary.Lookup
+	// graphs memoizes one CFG per body: the ChecksControl fixpoint,
+	// the EmitsUnguarded fixpoint and the reporting pass all walk the
+	// same bodies.
+	graphs map[*ast.BlockStmt]*cfg.Graph
+}
+
+// cfgOf returns the (memoized) CFG of body.
+func (p checkedProblem) cfgOf(body *ast.BlockStmt) *cfg.Graph {
+	g, ok := p.graphs[body]
+	if !ok {
+		g = cfg.New(body)
+		p.graphs[body] = g
+	}
+	return g
 }
 
 func (p checkedProblem) Entry() bool { return false }
@@ -135,16 +136,12 @@ func (p checkedProblem) isCheck(fn *types.Func) bool {
 	return p.pass.ImportObjectFact(fn, new(ChecksControl))
 }
 
-// runFacts computes ChecksControl facts for the package to a fixpoint:
-// marking one helper can make a second helper (which calls the first)
-// check on all paths too.
-func runFacts(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) error {
+	prob := checkedProblem{pass: pass, lookup: summary.Lookuper(pass), graphs: map[*ast.BlockStmt]*cfg.Graph{}}
 	decls := pass.FuncDecls()
-	graphs := make(map[*ast.FuncDecl]*cfg.Graph, len(decls))
-	for _, fd := range decls {
-		graphs[fd] = cfg.New(fd.Body)
-	}
-	prob := checkedProblem{pass: pass}
+	// Phase 1: fixpoint over ChecksControl facts: marking one helper
+	// can make a second helper (which calls the first) check on all
+	// paths too.
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range decls {
@@ -152,20 +149,14 @@ func runFacts(pass *analysis.Pass) error {
 			if !ok || pass.ImportObjectFact(obj, new(ChecksControl)) {
 				continue
 			}
-			res := dataflow.Forward[bool](graphs[fd], prob)
+			res := dataflow.Forward[bool](prob.cfgOf(fd.Body), prob)
 			if res.ExitReached && res.Exit {
 				pass.ExportObjectFact(obj, &ChecksControl{})
 				changed = true
 			}
 		}
 	}
-	return nil
-}
-
-func run(pass *analysis.Pass) error {
-	prob := checkedProblem{pass: pass, lookup: summary.Lookuper(pass)}
-	decls := pass.FuncDecls()
-	// Phase 1: fixpoint over EmitsUnguarded facts, silently. A helper
+	// Phase 2: fixpoint over EmitsUnguarded facts, silently. A helper
 	// whose emission depends on the caller's check makes every
 	// unchecked caller an emission site of its own, so marking one
 	// helper can mark a second that calls it.
@@ -182,7 +173,7 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	// Phase 2: report, with every fact in place.
+	// Phase 3: report, with every fact in place.
 	for _, fd := range decls {
 		checkBody(pass, prob, fd.Body, false, true)
 	}
@@ -195,7 +186,7 @@ func run(pass *analysis.Pass) error {
 // diagnostics; it always returns whether any unguarded emission
 // exists (the EmitsUnguarded condition).
 func checkBody(pass *analysis.Pass, prob checkedProblem, body *ast.BlockStmt, entry, report bool) bool {
-	g := cfg.New(body)
+	g := prob.cfgOf(body)
 	entryProb := entryProblem{checkedProblem: prob, entry: entry}
 	res := dataflow.Forward[bool](g, entryProb)
 	found := false
@@ -225,7 +216,7 @@ func visitNode(pass *analysis.Pass, prob checkedProblem, n ast.Node, s bool, fro
 			if fn == nil {
 				return true
 			}
-			if isSinkEmit(fn) && !s {
+			if analysis.IsSinkEmit(fn) && !s {
 				found = true
 				if report {
 					pass.Reportf(m.Pos(), "Sink.Emit is not dominated by a mine.Control stop-check (Err/Stopped) in this function")
@@ -238,7 +229,7 @@ func visitNode(pass *analysis.Pass, prob checkedProblem, n ast.Node, s bool, fro
 			// launder the check away. Helpers whose internal emissions are
 			// all self-dominated carry no fact and are safe from any
 			// caller.
-			if !s && !isSinkEmit(fn) && !prob.isCheck(fn) &&
+			if !s && !analysis.IsSinkEmit(fn) && !prob.isCheck(fn) &&
 				pass.ImportObjectFact(fn, new(EmitsUnguarded)) {
 				if eff := prob.lookup(fn); eff != nil && eff.EmitsSink {
 					found = true
@@ -267,49 +258,8 @@ type entryProblem struct {
 
 func (p entryProblem) Entry() bool { return p.entry }
 
-// isSinkEmit reports whether fn is an Emit method with the mine.Sink
-// signature func([]uint32, uint64) error — matching by shape rather
-// than by named interface so that emissions through concrete sink
-// types are caught too.
-func isSinkEmit(fn *types.Func) bool {
-	if fn.Name() != "Emit" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
-		return false
-	}
-	sl, ok := sig.Params().At(0).Type().Underlying().(*types.Slice)
-	if !ok || !isBasic(sl.Elem(), types.Uint32) {
-		return false
-	}
-	if !isBasic(sig.Params().At(1).Type(), types.Uint64) {
-		return false
-	}
-	named, ok := sig.Results().At(0).Type().(*types.Named)
-	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
 // isControlCheck reports whether fn is (*mine.Control).Err or
 // (*mine.Control).Stopped.
 func isControlCheck(fn *types.Func) bool {
-	if fn.Name() != "Err" && fn.Name() != "Stopped" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Control" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == minePath
-}
-
-func isBasic(t types.Type, kind types.BasicKind) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == kind
+	return (fn.Name() == "Err" || fn.Name() == "Stopped") && analysis.HasRecv(fn, minePath, "Control")
 }

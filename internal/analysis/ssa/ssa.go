@@ -1,8 +1,8 @@
 // Package ssa constructs a pruned static single-assignment form over
 // the per-function control-flow graphs of internal/analysis/cfg, the
 // substrate of the numeric abstract-interpretation layer
-// (internal/analysis/interval and the intwidth / boundscertain /
-// loopprogress analyzers built on it).
+// (internal/analysis/interval and the intwidth / loopprogress
+// analyzers and varintbounds' certification built on it).
 //
 // The form is deliberately lightweight: it versions *variables*, not
 // expressions. Every definition of a tracked local variable — an

@@ -290,7 +290,7 @@ func (p *ledgerProblem) Refine(s ledgerState, cond ast.Expr, taken bool) ledgerS
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) || !p.isNil(be.Y) {
 		return s
 	}
-	obj := identObj(p.info, be.X)
+	obj := analysis.IdentObj(p.info, be.X)
 	if obj == nil {
 		return s
 	}
@@ -339,7 +339,7 @@ func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
 		// The old values' ties end before the right-hand sides bind
 		// their own tokens to the same variables.
 		for _, lhs := range n.Lhs {
-			if obj := identObj(p.info, lhs); obj != nil {
+			if obj := analysis.IdentObj(p.info, lhs); obj != nil {
 				untie(s, obj)
 			}
 		}
@@ -356,7 +356,7 @@ func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
 		// A span variable overwritten by a non-Start value stops being
 		// open (it can no longer be ended).
 		for i, lhs := range n.Lhs {
-			if obj := identObj(p.info, lhs); obj != nil && s.spans[obj] {
+			if obj := analysis.IdentObj(p.info, lhs); obj != nil && s.spans[obj] {
 				if i >= len(n.Rhs) || startCall(p.info, n.Rhs[i]) == nil {
 					delete(s.spans, obj)
 				}
@@ -434,9 +434,9 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs []ast.Expr) 
 	if fn == nil {
 		return
 	}
-	if isRecorderStart(fn) {
+	if isPhaseStart(fn) {
 		if len(lhs) == 1 {
-			if obj := identObj(info, lhs[0]); obj != nil {
+			if obj := analysis.IdentObj(info, lhs[0]); obj != nil {
 				s.spans[obj] = true
 			}
 		}
@@ -444,7 +444,7 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs []ast.Expr) 
 	}
 	if isSpanEnd(fn) {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if obj := identObj(info, sel.X); obj != nil {
+			if obj := analysis.IdentObj(info, sel.X); obj != nil {
 				delete(s.spans, obj)
 			}
 		}
@@ -474,7 +474,7 @@ func (p *ledgerProblem) call(s ledgerState, call *ast.CallExpr, lhs []ast.Expr) 
 	if eff.ChargesNet {
 		tok := &Token{Pos: call.Pos(), Key: types.ExprString(call), Objs: map[types.Object]bool{}, FromCallee: true}
 		for _, e := range lhs {
-			obj := identObj(info, e)
+			obj := analysis.IdentObj(info, e)
 			switch {
 			case obj == nil:
 			case types.Identical(obj.Type(), errorType):
@@ -706,7 +706,7 @@ func usesSpans(info *types.Info, body *ast.BlockStmt) bool {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := analysis.Callee(info, call); fn != nil && isRecorderStart(fn) {
+				if fn := analysis.Callee(info, call); fn != nil && isPhaseStart(fn) {
 					found = true
 					return false
 				}
@@ -754,21 +754,6 @@ func ledgerOp(info *types.Info, call *ast.CallExpr) (int, ast.Expr) {
 	return opNone, nil
 }
 
-// identObj resolves e to the variable object it names, or nil.
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	if e == nil {
-		return nil
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
 // varsIn collects the variable objects named anywhere in e.
 func varsIn(info *types.Info, e ast.Expr) []types.Object {
 	var out []types.Object
@@ -797,30 +782,19 @@ func startCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	if !ok {
 		return nil
 	}
-	if fn := analysis.Callee(info, call); fn != nil && isRecorderStart(fn) {
+	if fn := analysis.Callee(info, call); fn != nil && isPhaseStart(fn) {
 		return call
 	}
 	return nil
 }
 
-func isRecorderStart(fn *types.Func) bool {
-	return fn.Name() == "Start" && hasRecv(fn, obsPath, "Recorder")
+// isPhaseStart reports whether fn is (*obs.Recorder).Start. Only
+// phase spans carry bytes_delta, so StartChild (which obsguard's
+// isSpanStart also accepts) does not cover a charge.
+func isPhaseStart(fn *types.Func) bool {
+	return fn.Name() == "Start" && analysis.HasRecv(fn, obsPath, "Recorder")
 }
 
 func isSpanEnd(fn *types.Func) bool {
-	return fn.Name() == "End" && hasRecv(fn, obsPath, "Span")
-}
-
-func hasRecv(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == typeName &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath
+	return fn.Name() == "End" && analysis.HasRecv(fn, obsPath, "Span")
 }

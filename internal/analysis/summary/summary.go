@@ -23,14 +23,17 @@
 //     tracker wrappers), balance a caller-held charge (Releases), or
 //     perform a charge no obs span of its own covers (Charges — the
 //     obligation a span-using caller must wrap, the PR-6 bug class)?
-//   - pool effects (poolreturn): does it hand out a pooled value
-//     (GetsPooled) or return parameter slots to a pool (PutsParams)?
-//   - concurrency effects (goroutinesafe): does it spawn goroutines?
-//   - escape effects (sharedro, varintbounds): which parameter slots
-//     may it write through (WritesParams), which integer slots does it
-//     use as an index or size without a bound check (UnboundedIndex)?
+//   - pool effects (poolreturn, pointsto): does it hand out a pooled
+//     value (GetsPooled) or return parameter slots to a pool
+//     (PutsParams)?
+//   - index effects (varintbounds): which integer slots does it use as
+//     an index or size without a bound check (UnboundedIndex)?
 //   - sink effects (sinkguard, lockorder): may it emit a result
 //     (EmitsSink), directly or through a helper?
+//
+// Which parameters a function may write through is pointsto's
+// question (its Escapes.Writes mask), not summary's: only an
+// alias-aware answer sees `b := d.buf; b[0] = 1`.
 //
 // Parameter slots: slot 0 is the receiver for methods, with parameters
 // shifted by one; plain functions use parameter order directly.
@@ -65,15 +68,10 @@ type Effects struct {
 	// PutsParams: bit i set when parameter slot i is handed to a
 	// sync.Pool.Put (directly or via a callee).
 	PutsParams uint32
-	// WritesParams: bit i set when memory reachable from parameter
-	// slot i may be written (field/element/pointee stores, transitive).
-	WritesParams uint32
 	// UnboundedIndex: bit i set when integer parameter slot i is used
 	// as an index, slice bound, or make size with no comparison
 	// guarding it in the function.
 	UnboundedIndex uint32
-	// Spawns: starts a goroutine, directly or via a callee.
-	Spawns bool
 	// EmitsSink: may call a result-sink Emit, directly or via a callee.
 	EmitsSink bool
 	// Dynamic: contains unresolved dynamic call sites (⊤); consumers
@@ -85,7 +83,7 @@ type Effects struct {
 func (*Effects) AFact() {}
 
 // String renders the set effects compactly ("chargesNet charges
-// writes(0x1)"), or "none"; used by tests and -debug output.
+// puts(0x1)"), or "none"; used by tests and -debug output.
 func (e *Effects) String() string {
 	var parts []string
 	if e.ChargesNet {
@@ -103,14 +101,8 @@ func (e *Effects) String() string {
 	if e.PutsParams != 0 {
 		parts = append(parts, fmt.Sprintf("puts(%#x)", e.PutsParams))
 	}
-	if e.WritesParams != 0 {
-		parts = append(parts, fmt.Sprintf("writes(%#x)", e.WritesParams))
-	}
 	if e.UnboundedIndex != 0 {
 		parts = append(parts, fmt.Sprintf("unbounded(%#x)", e.UnboundedIndex))
-	}
-	if e.Spawns {
-		parts = append(parts, "spawns")
 	}
 	if e.EmitsSink {
 		parts = append(parts, "emitsSink")
@@ -129,11 +121,9 @@ func (e *Effects) String() string {
 var Analyzer = &analysis.Analyzer{
 	Name: "summary",
 	Doc: `computes per-function effect summaries (ledger delta, pool
-balance, goroutine spawns, parameter writes, sink emissions) bottom-up
-over the package call graph and publishes them as facts for the
-interprocedural analyzers (ledgerbalance, poolreturn, goroutinesafe,
-sharedro) and the summary-consuming rewirings of sinkguard, lockorder
-and varintbounds`,
+balance, unchecked index slots, sink emissions) bottom-up over the
+package call graph and publishes them as facts for ledgerbalance,
+poolreturn, pointsto, sinkguard, lockorder and varintbounds`,
 	FactTypes: []analysis.Fact{new(Effects)},
 	Run:       run,
 }
@@ -205,7 +195,7 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 		if !c.Interface {
 			continue
 		}
-		if op, _ := ledgerOp(info, c.Site); op != opNone || isSinkEmit(c.Callee) {
+		if op, _ := ledgerOp(info, c.Site); op != opNone || analysis.IsSinkEmit(c.Callee) {
 			modeled[c.Site.Pos()] = true
 		}
 	}
@@ -230,40 +220,12 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 
 	slots := paramSlots(info, n.Decl)
 
-	// Spawns: any go statement in the body (literals included — the
-	// spawn happens within this function's machinery) or a spawning
-	// callee.
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		if _, ok := m.(*ast.GoStmt); ok {
-			eff.Spawns = true
-		}
-		return !eff.Spawns
-	})
-
-	// Direct writes through parameters and unbounded index uses.
+	// Unbounded index uses.
 	bounded := comparedObjs(info, n.Decl.Body)
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				if slot, ok := writeTarget(info, slots, lhs); ok {
-					eff.WritesParams |= 1 << slot
-				}
-			}
-		case *ast.IncDecStmt:
-			if slot, ok := writeTarget(info, slots, m.X); ok {
-				eff.WritesParams |= 1 << slot
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && len(m.Args) > 0 {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
-					if slot, ok := rootSlot(info, slots, m.Args[0], true); ok {
-						eff.WritesParams |= 1 << slot
-					}
-				}
-			}
 		case *ast.IndexExpr:
-			if slot, ok := rootSlot(info, slots, m.Index, false); ok && !bounded[identObj(info, m.Index)] {
+			if slot, ok := paramSlot(info, slots, m.Index); ok && !bounded[analysis.IdentObj(info, m.Index)] {
 				eff.UnboundedIndex |= 1 << slot
 			}
 		case *ast.SliceExpr:
@@ -271,7 +233,7 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 				if b == nil {
 					continue
 				}
-				if slot, ok := rootSlot(info, slots, b, false); ok && !bounded[identObj(info, b)] {
+				if slot, ok := paramSlot(info, slots, b); ok && !bounded[analysis.IdentObj(info, b)] {
 					eff.UnboundedIndex |= 1 << slot
 				}
 			}
@@ -282,24 +244,21 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 	// Call-mediated effects.
 	for _, c := range n.Calls {
 		fn := c.Callee
-		if isSinkEmit(fn) {
+		if analysis.IsSinkEmit(fn) {
 			eff.EmitsSink = true
 		}
 		if c.Interface {
 			continue
 		}
 		args := ArgExprs(c.Site, fn)
-		if isPoolMethod(fn, "Put") && len(c.Site.Args) == 1 {
-			if slot, ok := rootSlot(info, slots, c.Site.Args[0], false); ok {
+		if analysis.IsPoolMethod(fn, "Put") && len(c.Site.Args) == 1 {
+			if slot, ok := paramSlot(info, slots, c.Site.Args[0]); ok {
 				eff.PutsParams |= 1 << slot
 			}
 		}
 		ce := lookup(fn)
 		if ce == nil {
 			continue
-		}
-		if ce.Spawns {
-			eff.Spawns = true
 		}
 		if ce.EmitsSink {
 			eff.EmitsSink = true
@@ -308,17 +267,14 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 			if a == nil || i >= maxSlots {
 				continue
 			}
-			slot, ok := rootSlot(info, slots, a, false)
+			slot, ok := paramSlot(info, slots, a)
 			if !ok {
 				continue
-			}
-			if ce.WritesParams&(1<<i) != 0 {
-				eff.WritesParams |= 1 << slot
 			}
 			if ce.PutsParams&(1<<i) != 0 {
 				eff.PutsParams |= 1 << slot
 			}
-			if ce.UnboundedIndex&(1<<i) != 0 && !bounded[identObj(info, a)] {
+			if ce.UnboundedIndex&(1<<i) != 0 && !bounded[analysis.IdentObj(info, a)] {
 				eff.UnboundedIndex |= 1 << slot
 			}
 		}
@@ -371,61 +327,15 @@ func ArgExprs(call *ast.CallExpr, fn *types.Func) []ast.Expr {
 	return append(out, call.Args...)
 }
 
-// writeTarget reports the parameter slot written through by an
-// assignment to lhs: a field, element, or pointee rooted at a
-// parameter. A plain rebind of the parameter variable itself is not a
-// write through it.
-func writeTarget(info *types.Info, slots map[types.Object]int, lhs ast.Expr) (int, bool) {
-	if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+// paramSlot resolves e, a bare parameter identifier (possibly
+// parenthesized), to its slot.
+func paramSlot(info *types.Info, slots map[types.Object]int, e ast.Expr) (int, bool) {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
 		return 0, false
 	}
-	return rootSlot(info, slots, lhs, true)
-}
-
-// rootSlot resolves the base variable of an expression to its
-// parameter slot. With chase set, selector/index/star/paren chains are
-// followed to their root; otherwise only a bare identifier matches.
-func rootSlot(info *types.Info, slots map[types.Object]int, e ast.Expr, chase bool) (int, bool) {
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				return 0, false
-			}
-			slot, ok := slots[obj]
-			return slot, ok
-		case *ast.SelectorExpr:
-			if !chase {
-				return 0, false
-			}
-			// A package-qualified name has no root variable.
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-					return 0, false
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		case *ast.StarExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		case *ast.UnaryExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		default:
-			return 0, false
-		}
-	}
+	slot, ok := slots[info.Uses[id]]
+	return slot, ok
 }
 
 // comparedObjs collects every variable appearing in a comparison —
@@ -441,7 +351,7 @@ func comparedObjs(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 		switch be.Op.String() {
 		case "<", "<=", ">", ">=", "==", "!=":
 			for _, side := range []ast.Expr{be.X, be.Y} {
-				if obj := identObj(info, side); obj != nil {
+				if obj := analysis.IdentObj(info, side); obj != nil {
 					out[obj] = true
 				}
 			}
@@ -472,7 +382,7 @@ func returnsPooled(info *types.Info, n *callgraph.Node, lookup Lookup) bool {
 		if fn == nil {
 			return false
 		}
-		if isPoolMethod(fn, "Get") {
+		if analysis.IsPoolMethod(fn, "Get") {
 			return true
 		}
 		ce := lookup(fn)
@@ -482,7 +392,7 @@ func returnsPooled(info *types.Info, n *callgraph.Node, lookup Lookup) bool {
 		if as, ok := m.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
 			for i, rhs := range as.Rhs {
 				if isGet(rhs) {
-					if obj := identObj(info, as.Lhs[i]); obj != nil {
+					if obj := analysis.IdentObj(info, as.Lhs[i]); obj != nil {
 						pooled[obj] = true
 					}
 				}
@@ -500,43 +410,11 @@ func returnsPooled(info *types.Info, n *callgraph.Node, lookup Lookup) bool {
 			if isGet(r) {
 				found = true
 			}
-			if obj := identObj(info, r); obj != nil && pooled[obj] {
+			if obj := analysis.IdentObj(info, r); obj != nil && pooled[obj] {
 				found = true
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-// isPoolMethod reports whether fn is (*sync.Pool).name.
-func isPoolMethod(fn *types.Func, name string) bool {
-	return fn != nil && fn.Name() == name && hasRecv(fn, "sync", "Pool")
-}
-
-// isSinkEmit reports whether fn is a result-sink emission: a method
-// named Emit with signature func([]uint32, uint64) error, the shape of
-// mine.Sink and every wrapper in the repo.
-func isSinkEmit(fn *types.Func) bool {
-	if fn == nil || fn.Name() != "Emit" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
-		return false
-	}
-	p0, ok := sig.Params().At(0).Type().Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b0, ok := p0.Elem().Underlying().(*types.Basic)
-	if !ok || b0.Kind() != types.Uint32 {
-		return false
-	}
-	b1, ok := sig.Params().At(1).Type().Underlying().(*types.Basic)
-	if !ok || b1.Kind() != types.Uint64 {
-		return false
-	}
-	named, ok := sig.Results().At(0).Type().(*types.Named)
-	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 }

@@ -14,14 +14,12 @@
 //     may never be discarded with _.
 //
 //   - A taint layer (path-sensitive): both results of encoding.Uvarint
-//     and the result of encoding.SkipUvarint are taint sources — the
-//     source facts are exported by the companion Sources analyzer, so
-//     the knowledge "Uvarint's results are untrusted" lives on the
-//     encoding package's objects rather than being re-derived by every
-//     consumer. Taint propagates through assignments, arithmetic, and
-//     conversions; a sink is a slice/array/string index, a slice
-//     bound, or a make length/capacity. At each sink the tainted value
-//     must be sanitized on every path:
+//     and the length result of encoding.SkipUvarint are taint sources,
+//     recognised by callee object (see readerResults). Taint
+//     propagates through assignments, arithmetic, and conversions; a
+//     sink is a slice/array/string index, a slice bound, or a make
+//     length/capacity. At each sink the tainted value must be
+//     sanitized on every path:
 //
 //     – comparing the value against a constant (the n <= 0 truncation
 //     check) sanitizes it on both branch edges;
@@ -42,70 +40,41 @@
 // rule provably cannot: a bounds check on the if arm with the use on
 // the else arm contains a comparison of the value, so the lexical rule
 // is satisfied, yet the unchecked path flows straight to the sink.
+// Index and slice sinks the interval engine proves in range are then
+// dropped (certify.go).
 package varintbounds
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 
 	"cfpgrowth/internal/analysis"
-	"cfpgrowth/internal/analysis/boundscertain"
 	"cfpgrowth/internal/analysis/cfg"
 	"cfpgrowth/internal/analysis/dataflow"
+	"cfpgrowth/internal/analysis/interval"
 	"cfpgrowth/internal/analysis/summary"
 )
 
-// Untrusted is the fact exported for functions whose results carry
-// untrusted input-derived values; Results lists the tainted result
-// indices.
-type Untrusted struct {
-	Results []int
-}
-
-// AFact marks Untrusted as a fact type.
-func (*Untrusted) AFact() {}
-
 const encodingPath = "cfpgrowth/internal/encoding"
 
-// Sources exports Untrusted facts for the varint readers of
-// internal/encoding. It annotates the encoding package's objects from
-// whichever package is being analyzed (the fact is a deterministic
-// property of the API), so subset runs that never analyze
-// internal/encoding itself still see the sources.
-var Sources = &analysis.Analyzer{
-	Name: "varintsources",
-	Doc: `exports Untrusted facts marking the results of
-encoding.Uvarint (value and length) and encoding.SkipUvarint (length)
-as tainted by undecoded input; consumed by varintbounds`,
-	FactTypes: []analysis.Fact{new(Untrusted)},
-	Run:       runSources,
-}
-
-// sourceResults lists the tainted result indices per encoding
-// function.
+// sourceResults lists the tainted result indices of the varint readers
+// of internal/encoding: the value and length of Uvarint, the length of
+// SkipUvarint. The last index is the length result.
 var sourceResults = map[string][]int{
 	"Uvarint":     {0, 1},
 	"SkipUvarint": {0},
 }
 
-func runSources(pass *analysis.Pass) error {
-	mark := func(pkg *types.Package) {
-		for name, idxs := range sourceResults {
-			if fn, ok := pkg.Scope().Lookup(name).(*types.Func); ok {
-				pass.ExportObjectFact(fn, &Untrusted{Results: idxs})
-			}
-		}
+// readerResults returns the tainted result indices of call when its
+// callee is a varint reader of internal/encoding, or nil.
+func readerResults(info *types.Info, call *ast.CallExpr) []int {
+	fn := analysis.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != encodingPath {
+		return nil
 	}
-	if pass.Pkg.Path() == encodingPath {
-		mark(pass.Pkg)
-	}
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == encodingPath {
-			mark(imp)
-		}
-	}
-	return nil
+	return sourceResults[fn.Name()]
 }
 
 // Analyzer is the varintbounds rule.
@@ -118,31 +87,47 @@ slice index, slice bound, or make size to be dominated by a sanitizing
 comparison (constant truncation check, directional bound check, or an
 assert audit) on every path; passing a tainted value to a callee whose
 summary says it indexes that parameter unchecked (UnboundedIndex) is
-the same sink one call further away; sinks whose bounds the interval
-engine has already certified (the boundscertain fact) are proven safe
-and skipped, so a numeric proof discharges the taint finding without
-an ignore directive`,
-	Requires:  []*analysis.Analyzer{Sources, summary.Analyzer, boundscertain.Analyzer},
-	FactTypes: []analysis.Fact{new(Untrusted), new(summary.Effects), new(boundscertain.Certified)},
+the same sink one call further away; index and slice sinks the
+interval engine proves in range are certified safe and skipped, so a
+numeric proof discharges the taint finding without an ignore directive`,
+	Requires:  []*analysis.Analyzer{summary.Analyzer, interval.Facts},
+	FactTypes: []analysis.Fact{new(summary.Effects), new(interval.ResultRanges)},
 	Run:       run,
+}
+
+// A candidate is one taint finding before certification. site is the
+// Lbrack of its index or slice expression, or NoPos for sinks the
+// interval engine does not certify (make sizes, callee indexes).
+type candidate struct {
+	pos, site token.Pos
+	msg       string
 }
 
 func run(pass *analysis.Pass) error {
 	lookup := summary.Lookuper(pass)
+	look := interval.PassLookuper(pass)
 	for _, fd := range pass.FuncDecls() {
 		lexicalCheck(pass, fd)
-		fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		certified := boundscertain.Sites(pass, fn)
-		taintCheck(pass, fd.Body, lookup, certified)
+		var found []candidate
+		taintCheck(pass, fd.Body, lookup, &found)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-				// Certified sites never sit inside function literals
-				// (the SSA form treats them as opaque), so the set
-				// cannot mask anything here.
-				taintCheck(pass, lit.Body, lookup, certified)
+				taintCheck(pass, lit.Body, lookup, &found)
 			}
 			return true
 		})
+		// Certify only declarations with a certifiable candidate: the
+		// interval solve is the expensive part, and most functions
+		// have no taint finding at all.
+		var certified map[token.Pos]bool
+		for _, c := range found {
+			if c.site != token.NoPos && certified == nil {
+				certified = certifiedSites(pass, fd, look)
+			}
+			if !certified[c.site] {
+				pass.Reportf(c.pos, "%s", c.msg)
+			}
+		}
 	}
 	return nil
 }
@@ -154,17 +139,11 @@ func run(pass *analysis.Pass) error {
 // lengthResultIndex returns which assignment slot holds the length
 // result of a varint-reading call, or -1 if call is not one.
 func lengthResultIndex(pass *analysis.Pass, call *ast.CallExpr) int {
-	fn := analysis.Callee(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != encodingPath {
+	idxs := readerResults(pass.TypesInfo, call)
+	if idxs == nil {
 		return -1
 	}
-	switch fn.Name() {
-	case "Uvarint":
-		return 1
-	case "SkipUvarint":
-		return 0
-	}
-	return -1
+	return idxs[len(idxs)-1]
 }
 
 func lexicalCheck(pass *analysis.Pass, fd *ast.FuncDecl) {
@@ -261,11 +240,8 @@ type taintProblem struct {
 	// audited maps objects to the position of the first assert call
 	// vouching for them; audits apply from that position on.
 	audited map[types.Object]token.Pos
-	// certified holds the Lbrack positions of index/slice expressions
-	// the interval engine proved in range (the boundscertain fact):
-	// a numeric proof makes the sink unreachable by a faulting value,
-	// tainted or not.
-	certified map[token.Pos]bool
+	// found collects the candidate findings for certification.
+	found *[]candidate
 }
 
 func (p *taintProblem) Entry() tstate { return tstate{} }
@@ -324,8 +300,8 @@ func (p *taintProblem) Transfer(s tstate, n ast.Node) tstate {
 }
 
 func (p *taintProblem) transferAssign(s tstate, as *ast.AssignStmt) {
-	// Tuple form: one call on the right. Taint the result slots the
-	// callee's Untrusted fact names.
+	// Tuple form: one call on the right. Taint the result slots
+	// sourceResults names.
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
 			tainted := p.taintedResults(call)
@@ -360,27 +336,17 @@ func (p *taintProblem) transferAssign(s tstate, as *ast.AssignStmt) {
 	}
 }
 
-// taintedResults returns, per result slot of call, whether the
-// callee's Untrusted fact marks it tainted; nil when the callee has no
-// fact.
+// taintedResults returns, per result slot of call, whether it is a
+// taint source; nil when the callee is not a varint reader.
 func (p *taintProblem) taintedResults(call *ast.CallExpr) []bool {
-	fn := analysis.Callee(p.pass.TypesInfo, call)
-	if fn == nil {
+	idxs := readerResults(p.pass.TypesInfo, call)
+	if idxs == nil {
 		return nil
 	}
-	var fact Untrusted
-	if !p.pass.ImportObjectFact(fn, &fact) {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
+	sig := analysis.Callee(p.pass.TypesInfo, call).Type().(*types.Signature)
 	out := make([]bool, sig.Results().Len())
-	for _, i := range fact.Results {
-		if i >= 0 && i < len(out) {
-			out[i] = true
-		}
+	for _, i := range idxs {
+		out[i] = true
 	}
 	return out
 }
@@ -489,9 +455,9 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // taintCheck solves the taint problem over one function scope and
-// reports tainted values reaching sinks.
-func taintCheck(pass *analysis.Pass, body *ast.BlockStmt, lookup summary.Lookup, certified map[token.Pos]bool) {
-	prob := &taintProblem{pass: pass, audited: collectAudits(pass, body), certified: certified}
+// collects tainted values reaching sinks into found.
+func taintCheck(pass *analysis.Pass, body *ast.BlockStmt, lookup summary.Lookup, found *[]candidate) {
+	prob := &taintProblem{pass: pass, audited: collectAudits(pass, body), found: found}
 	g := cfg.New(body)
 	res := dataflow.Forward[tstate](g, prob)
 	res.Iterate(g, prob, func(n ast.Node, before tstate) {
@@ -543,23 +509,20 @@ func checkSinks(pass *analysis.Pass, prob *taintProblem, n ast.Node, s tstate, l
 	dataflow.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.IndexExpr:
-			if indexableSink(info, m.X) && !prob.certified[m.Lbrack] {
-				reportTaintedExpr(pass, prob, s, m.Index, "an index")
+			if indexableSink(info, m.X) {
+				reportTaintedExpr(pass, prob, s, m.Index, m.Lbrack, "an index")
 			}
 		case *ast.SliceExpr:
-			if prob.certified[m.Lbrack] {
-				break
-			}
 			for _, bound := range []ast.Expr{m.Low, m.High, m.Max} {
 				if bound != nil {
-					reportTaintedExpr(pass, prob, s, bound, "a slice bound")
+					reportTaintedExpr(pass, prob, s, bound, m.Lbrack, "a slice bound")
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "make" {
 					for _, arg := range m.Args[1:] {
-						reportTaintedExpr(pass, prob, s, arg, "a make size")
+						reportTaintedExpr(pass, prob, s, arg, token.NoPos, "a make size")
 					}
 					return true
 				}
@@ -580,7 +543,7 @@ func checkSinks(pass *analysis.Pass, prob *taintProblem, n ast.Node, s tstate, l
 				if arg == nil || eff.UnboundedIndex&(1<<i) == 0 {
 					continue
 				}
-				reportTaintedExpr(pass, prob, s, arg, "an unchecked index inside "+fn.Name())
+				reportTaintedExpr(pass, prob, s, arg, token.NoPos, "an unchecked index inside "+fn.Name())
 			}
 		}
 		return true
@@ -607,9 +570,10 @@ func indexableSink(info *types.Info, x ast.Expr) bool {
 	return false
 }
 
-// reportTaintedExpr reports the first tainted, un-audited object
-// referenced by e (at most one report per sink expression).
-func reportTaintedExpr(pass *analysis.Pass, prob *taintProblem, s tstate, e ast.Expr, what string) {
+// reportTaintedExpr records the first tainted, un-audited object
+// referenced by e as a candidate (at most one per sink expression);
+// site is the sink's certifiable Lbrack, or NoPos.
+func reportTaintedExpr(pass *analysis.Pass, prob *taintProblem, s tstate, e ast.Expr, site token.Pos, what string) {
 	done := false
 	dataflow.Inspect(e, func(n ast.Node) bool {
 		if done {
@@ -627,7 +591,8 @@ func reportTaintedExpr(pass *analysis.Pass, prob *taintProblem, s tstate, e ast.
 			return true
 		}
 		done = true
-		pass.Reportf(e.Pos(), "varint-derived value %s is used as %s without a dominating bounds check on this path", obj.Name(), what)
+		*prob.found = append(*prob.found, candidate{pos: e.Pos(), site: site,
+			msg: fmt.Sprintf("varint-derived value %s is used as %s without a dominating bounds check on this path", obj.Name(), what)})
 		return false
 	})
 }
