@@ -85,6 +85,39 @@ func TestParentFieldsAssertOnCorruption(t *testing.T) {
 	})
 }
 
+func TestDecodeAssertsOnMidTripleParent(t *testing.T) {
+	a := debugTestArray()
+	// Move one element's parent one byte forward, into the middle of
+	// the parent's triple. The position still lies inside the parent's
+	// subarray, so only the element-start check can tell it from a
+	// real parent; a bitmap resolver would otherwise resolve it to the
+	// element it lands in. Both Δpos values must be one-byte varints so
+	// the rewrite leaves every other byte in place.
+	done := false
+	for rk := uint32(0); int(rk) < a.NumItems() && !done; rk++ {
+		a.ScanItem(rk, func(e Element) bool {
+			z, nz := encoding.Zigzag(e.Dpos), encoding.Zigzag(e.Dpos-1)
+			if !e.HasParent() || z >= 0x80 || nz >= 0x80 {
+				return true
+			}
+			at := a.starts[rk] + e.Local + uint64(encoding.UvarintLen(uint64(e.Delta)))
+			if uint64(a.data[at]) != z {
+				t.Fatalf("Δpos byte of rank %d local %d is %#x, want %#x", rk, e.Local, a.data[at], z)
+			}
+			a.data[at] = byte(nz)
+			done = true
+			return false
+		})
+	}
+	if !done {
+		t.Fatal("fixture has no element with a one-byte Δpos to corrupt")
+	}
+	mustPanicContaining(t, "unresolved parent", func() {
+		var d Decode
+		d.From(a)
+	})
+}
+
 func TestWriteSlotAsserts(t *testing.T) {
 	var buf [encoding.Ptr40Len]byte
 	mustPanicContaining(t, "exceeds MaxPtr40", func() {

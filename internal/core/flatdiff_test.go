@@ -52,33 +52,41 @@ func minerPaths(workers int) []struct {
 // configuration plus deliberately hostile variants — near-total
 // pattern corruption (long sparse noise paths), and heavy correlation
 // with long patterns (deep shared prefixes that stress the chain and
-// embed machinery the decoder flattens).
+// embed machinery the decoder flattens). The last fixture has more
+// than 256 frequent items at every tested support, so its top-level
+// decode takes the wide (8-byte) walk layout; wide marks it.
 func questFixtures() []struct {
 	name string
 	db   dataset.Slice
+	wide bool
 } {
 	return []struct {
 		name string
 		db   dataset.Slice
+		wide bool
 	}{
 		{"quest-small", quest.Generate(quest.Config{
 			NumTx: 1200, AvgTxLen: 10, NumItems: 250, Seed: 7,
-		})},
+		}), false},
 		{"quest-corrupted", quest.Generate(quest.Config{
 			NumTx: 1000, AvgTxLen: 8, NumItems: 150,
 			CorruptionMean: 0.95, Seed: 11,
-		})},
+		}), false},
 		{"quest-correlated-deep", quest.Generate(quest.Config{
 			NumTx: 800, AvgTxLen: 12, NumItems: 120,
 			AvgPatternLen: 9, Correlation: 0.9, Seed: 13,
-		})},
+		}), false},
+		{"quest-wide", quest.Generate(quest.Config{
+			NumTx: 2000, AvgTxLen: 10, NumItems: 400, Seed: 17,
+		}), true},
 	}
 }
 
 // TestFlatDecodeDifferential requires the legacy, flat-decode, and
 // sharded parallel miners to emit exactly the same itemsets with the
 // same supports on every fixture, across support thresholds that span
-// dense and sparse result sets.
+// dense and sparse result sets. On the wide fixture it also checks
+// that the top-level decode really took the wide layout.
 func TestFlatDecodeDifferential(t *testing.T) {
 	for _, fx := range questFixtures() {
 		minSups := []uint64{5, 24}
@@ -88,6 +96,13 @@ func TestFlatDecodeDifferential(t *testing.T) {
 			minSups = append(minSups, 2)
 		}
 		for _, minSup := range minSups {
+			var d Decode
+			if !d.From(buildArrayFor(t, fx.db, minSup)) {
+				t.Fatalf("%s minSup %d: top-level array exceeds the flat index space", fx.name, minSup)
+			}
+			if d.wide != fx.wide {
+				t.Fatalf("%s minSup %d: decode wide = %v, want %v", fx.name, minSup, d.wide, fx.wide)
+			}
 			var want []mine.Itemset
 			for i, p := range minerPaths(4) {
 				got, err := mine.Run(p.mk(), fx.db, minSup)
@@ -211,7 +226,7 @@ func TestFlatDecodeCancellationMidMine(t *testing.T) {
 // against every itemset the miner emits, plus guard edge cases.
 func TestSupportOfAgreesWithMinedSupports(t *testing.T) {
 	db := questFixtures()[1].db
-	arr := buildArrayFor(t, db)
+	arr := buildArrayFor(t, db, 4)
 	sets, err := mine.Run(Growth{}, db, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -245,15 +260,15 @@ func TestSupportOfAgreesWithMinedSupports(t *testing.T) {
 	}
 }
 
-// buildArrayFor builds db's CFP-array at minimum support 4, matching
-// the mining threshold the cross-check runs at.
-func buildArrayFor(t *testing.T, db dataset.Slice) *Array {
+// buildArrayFor builds db's top-level CFP-array at minimum support
+// minSup, the array the miners decode first at that threshold.
+func buildArrayFor(t *testing.T, db dataset.Slice, minSup uint64) *Array {
 	t.Helper()
 	counts, err := dataset.CountItems(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dataset.NewRecoder(counts, 4)
+	rec := dataset.NewRecoder(counts, minSup)
 	n := rec.NumFrequent()
 	itemName := make([]uint32, n)
 	itemCount := make([]uint64, n)

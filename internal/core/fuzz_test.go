@@ -70,6 +70,15 @@ func FuzzInsertMine(f *testing.F) {
 		if ms == 0 {
 			ms = 1
 		}
+		// Every frequent itemset is a subset of the frequent items of
+		// some transaction, so the result holds at most Σ 2^f itemsets
+		// (f = a transaction's distinct frequent items). Past a few
+		// hundred thousand, enumerating and diffing both results
+		// outlasts the fuzzer's hang timeout without testing anything a
+		// smaller input does not.
+		if maxResultSize(db, ms) > 1<<18 {
+			return
+		}
 		got, err := mine.Run(Growth{}, db, ms)
 		if err != nil {
 			t.Fatal(err)
@@ -82,6 +91,35 @@ func FuzzInsertMine(f *testing.F) {
 			t.Fatalf("results differ:\n%s", d)
 		}
 	})
+}
+
+// maxResultSize bounds the number of itemsets db has at minimum
+// support minSup: Σ over transactions of 2^(distinct frequent items),
+// saturating at 2^32.
+func maxResultSize(db dataset.Slice, minSup uint64) uint64 {
+	counts := map[dataset.Item]uint64{}
+	for _, tx := range db {
+		seen := map[dataset.Item]bool{}
+		for _, it := range tx {
+			if !seen[it] {
+				seen[it] = true
+				counts[it]++
+			}
+		}
+	}
+	var total uint64
+	for _, tx := range db {
+		seen := map[dataset.Item]bool{}
+		f := 0
+		for _, it := range tx {
+			if !seen[it] && counts[it] >= minSup {
+				seen[it] = true
+				f++
+			}
+		}
+		total += 1 << min(f, 32)
+	}
+	return total
 }
 
 func txToItems(tx []uint32) []dataset.Item {

@@ -200,6 +200,9 @@ type cfpGrower struct {
 	// of live decodings equals the recursion depth — mirroring the
 	// stack of CFP-arrays themselves.
 	decodeFree []*Decode
+	// startIdx is the parent resolver every From of this grower reuses
+	// (From never nests); it is charged only while From holds it.
+	startIdx startIndex
 	// laneBufs are the per-lane path accumulators of the interleaved
 	// ancestor walk (one per in-flight chase).
 	laneBufs [walkLanes][]uint32
@@ -218,7 +221,9 @@ const walkLanes = 8
 // acquireDecode returns a flat decoding of a charged against the byte
 // ledger, or nil when flat decoding is disabled (Config ablation) or
 // the array exceeds the flat index space; a nil decode makes the
-// growers below fall back to byte-at-a-time traversal.
+// growers below fall back to byte-at-a-time traversal. The grower's
+// start index is charged while From runs, on top of the decode it
+// fills, so the peak covers both.
 func (m *cfpGrower) acquireDecode(a *Array) *Decode {
 	if m.cfg.DisableFlatDecode {
 		return nil
@@ -230,11 +235,15 @@ func (m *cfpGrower) acquireDecode(a *Array) *Decode {
 	} else {
 		d = new(Decode)
 	}
-	if !d.From(a) {
+	idxBytes := startIndexBytes(a.DataBytes())
+	m.track.Alloc(idxBytes)
+	if !d.from(a, &m.startIdx) {
+		m.track.Free(idxBytes)
 		m.decodeFree = append(m.decodeFree, d)
 		return nil
 	}
 	m.track.Alloc(d.Bytes())
+	m.track.Free(idxBytes)
 	return d
 }
 
@@ -464,9 +473,9 @@ func (m *cfpGrower) conditional(a *Array, d *Decode, rank uint32) *Tree {
 func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	condCount := make([]uint64, rank)
 	if d.wide {
-		m.condCountWide(d, rank, condCount)
+		m.condCountWide(a, d, rank, condCount)
 	} else {
-		m.condCountSmall(d, rank, condCount)
+		m.condCountSmall(a, d, rank, condCount)
 	}
 	any := false
 	for _, c := range condCount {
@@ -492,9 +501,9 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
 	cond.Observe(m.rec)
 	if d.wide {
-		m.insertBaseWide(d, rank, condCount, cond)
+		m.insertBaseWide(a, d, rank, condCount, cond)
 	} else {
-		m.insertBaseSmall(d, rank, condCount, cond)
+		m.insertBaseSmall(a, d, rank, condCount, cond)
 	}
 	if cond.NumNodes() == 0 {
 		return nil
@@ -504,7 +513,9 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 
 // condCountWide accumulates the conditional item supports of rank rk's
 // pattern base over the wide-layout decoding: for every element of the
-// run, every ancestor's rank receives the element's count.
+// run, every ancestor's rank receives the element's count. Lanes take
+// elements in storage order, so each element's count comes from a
+// sequential cursor over the rank's own triples in a's byte region.
 //
 // The chase keeps walkLanes independent walks in flight: each lane
 // owns one element, advances one ancestor step per round, and on
@@ -519,9 +530,10 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 // once the run is exhausted.
 //
 //cfplint:hot
-func (m *cfpGrower) condCountWide(d *Decode, rk uint32, condCount []uint64) {
+func (m *cfpGrower) condCountWide(a *Array, d *Decode, rk uint32, condCount []uint64) {
 	walk := d.walkW
 	lo, hi := d.Run(rk)
+	counts := a.runCounts(rk)
 	var cur [walkLanes]uint64
 	var cnt [walkLanes]uint64
 	for l := range cur {
@@ -538,7 +550,7 @@ func (m *cfpGrower) condCountWide(d *Decode, rk uint32, condCount []uint64) {
 				}
 				if i < hi {
 					cur[l] = walk[i] >> 32
-					cnt[l] = uint64(d.sup[i])
+					cnt[l] = uint64(counts.next())
 					i++
 					alive = true
 				} else {
@@ -561,9 +573,10 @@ func (m *cfpGrower) condCountWide(d *Decode, rk uint32, condCount []uint64) {
 // (parent<<8 | rank).
 //
 //cfplint:hot
-func (m *cfpGrower) condCountSmall(d *Decode, rk uint32, condCount []uint64) {
+func (m *cfpGrower) condCountSmall(a *Array, d *Decode, rk uint32, condCount []uint64) {
 	walk := d.walk
 	lo, hi := d.Run(rk)
+	counts := a.runCounts(rk)
 	var cur [walkLanes]uint32
 	var cnt [walkLanes]uint64
 	for l := range cur {
@@ -580,7 +593,7 @@ func (m *cfpGrower) condCountSmall(d *Decode, rk uint32, condCount []uint64) {
 				}
 				if i < hi {
 					cur[l] = walk[i] >> 8
-					cnt[l] = uint64(d.sup[i])
+					cnt[l] = uint64(counts.next())
 					i++
 					alive = true
 				} else {
@@ -609,15 +622,17 @@ func (m *cfpGrower) condCountSmall(d *Decode, rk uint32, condCount []uint64) {
 // decoding (tree content is insertion-order independent).
 //
 //cfplint:hot
-func (m *cfpGrower) insertBaseWide(d *Decode, rk uint32, condCount []uint64, cond *Tree) {
+func (m *cfpGrower) insertBaseWide(a *Array, d *Decode, rk uint32, condCount []uint64, cond *Tree) {
 	walk := d.walkW
 	lo, hi := d.Run(rk)
 	minSup := m.minSup
 	var cur [walkLanes]uint64
-	var own [walkLanes]int32
+	counts := a.runCounts(rk)
+	// cnt[l] is the count of the element lane l owns, 0 while it owns
+	// none (counts are never zero).
+	var cnt [walkLanes]uint32
 	for l := range cur {
 		cur[l] = wideRoot
-		own[l] = -1
 	}
 	i := lo
 	for {
@@ -628,24 +643,24 @@ func (m *cfpGrower) insertBaseWide(d *Decode, rk uint32, condCount []uint64, con
 				if p > wideRoot {
 					continue // lane retired, run exhausted
 				}
-				if own[l] >= 0 && len(m.laneBufs[l]) > 0 {
+				if cnt[l] > 0 && len(m.laneBufs[l]) > 0 {
 					seg := m.laneBufs[l]
 					buf := m.pathBuf[:0]
 					for j := len(seg) - 1; j >= 0; j-- {
 						buf = append(buf, seg[j])
 					}
 					m.pathBuf = buf
-					cond.Insert(buf, d.sup[own[l]])
+					cond.Insert(buf, cnt[l])
 				}
 				if i < hi {
 					cur[l] = walk[i] >> 32
-					own[l] = i
+					cnt[l] = counts.next()
 					m.laneBufs[l] = m.laneBufs[l][:0]
 					i++
 					alive = true
 				} else {
 					cur[l] = wideRoot + 1
-					own[l] = -1
+					cnt[l] = 0
 				}
 				continue
 			}
@@ -666,15 +681,17 @@ func (m *cfpGrower) insertBaseWide(d *Decode, rk uint32, condCount []uint64, con
 // (parent<<8 | rank).
 //
 //cfplint:hot
-func (m *cfpGrower) insertBaseSmall(d *Decode, rk uint32, condCount []uint64, cond *Tree) {
+func (m *cfpGrower) insertBaseSmall(a *Array, d *Decode, rk uint32, condCount []uint64, cond *Tree) {
 	walk := d.walk
 	lo, hi := d.Run(rk)
 	minSup := m.minSup
 	var cur [walkLanes]uint32
-	var own [walkLanes]int32
+	counts := a.runCounts(rk)
+	// cnt[l] is the count of the element lane l owns, 0 while it owns
+	// none (counts are never zero).
+	var cnt [walkLanes]uint32
 	for l := range cur {
 		cur[l] = smallRoot
-		own[l] = -1
 	}
 	i := lo
 	for {
@@ -685,24 +702,24 @@ func (m *cfpGrower) insertBaseSmall(d *Decode, rk uint32, condCount []uint64, co
 				if p > smallRoot {
 					continue // lane retired, run exhausted
 				}
-				if own[l] >= 0 && len(m.laneBufs[l]) > 0 {
+				if cnt[l] > 0 && len(m.laneBufs[l]) > 0 {
 					seg := m.laneBufs[l]
 					buf := m.pathBuf[:0]
 					for j := len(seg) - 1; j >= 0; j-- {
 						buf = append(buf, seg[j])
 					}
 					m.pathBuf = buf
-					cond.Insert(buf, d.sup[own[l]])
+					cond.Insert(buf, cnt[l])
 				}
 				if i < hi {
 					cur[l] = walk[i] >> 8
-					own[l] = i
+					cnt[l] = counts.next()
 					m.laneBufs[l] = m.laneBufs[l][:0]
 					i++
 					alive = true
 				} else {
 					cur[l] = smallRoot + 1
-					own[l] = -1
+					cnt[l] = 0
 				}
 				continue
 			}

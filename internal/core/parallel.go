@@ -154,21 +154,9 @@ func (g ParallelGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Si
 	sp := g.Rec.Start(obs.PhaseMine)
 	// One shared flat decoding of the initial array serves every
 	// worker read-only; each worker decodes its own conditional
-	// arrays privately.
-	// The decode's footprint is charged through an unconditional
-	// Alloc/Free pair (zero when the decode is unavailable) so the
-	// charge and its release pair up on every path.
-	var topDec *Decode
-	var topDecBytes int64
-	if !g.Config.DisableFlatDecode {
-		topDec = new(Decode)
-		if topDec.From(arr) {
-			topDecBytes = topDec.Bytes()
-		} else {
-			topDec = nil
-		}
-	}
-	track.Alloc(topDecBytes)
+	// arrays privately. The first grower decodes and charges it before
+	// the pool starts and takes it back after the pool drains.
+	topDec := growers[0].acquireDecode(arr)
 	// Pool accounting (jobs, steals, busy/idle) is collected whenever a
 	// recorder is attached; the per-job clock reads are noise against
 	// whole conditional subproblems.
@@ -194,7 +182,7 @@ func (g ParallelGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Si
 		}
 		return m.mineTopItem(arr, topDec, uint32(rank&0xffffffff))
 	})
-	track.Free(topDecBytes)
+	growers[0].releaseDecode(topDec)
 	track.Free(arr.Bytes())
 	sp.End()
 	for _, sr := range shardRecs {
